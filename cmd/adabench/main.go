@@ -2,9 +2,9 @@
 //
 // Usage:
 //
-//	adabench [-parallel N] [-zipf S] [-lookup-out FILE] [-round-out FILE] [-tenant-out FILE] [-dataplane-out FILE] [-recovery-out FILE] [-tiered-out FILE] [-fabric-out FILE] [-serve-out FILE] [-cache-out FILE] [experiment...]
+//	adabench [-parallel N] [-zipf S] [-lookup-out FILE] [-round-out FILE] [-tenant-out FILE] [-recovery-out FILE] [-tiered-out FILE] [-fabric-out FILE] [-serve-out FILE] [-cache-out FILE] [experiment...]
 //
-// Experiments: cache dataplane fabric fig1a fig1b fig1c fig5 fig6 fig7a
+// Experiments: cache fabric fig1a fig1b fig1c fig5 fig6 fig7a
 // fig7b fig7c fig8 fig9 fig10 lookup recovery roundbench serve table2 tenant
 // tiered xcp all (default: all). cache is the lookup-cache experiment: a
 // Zipf-skew × cache-size sweep comparing cached vs uncached single-thread
@@ -31,31 +31,36 @@
 // latency under injected faults, and the replay-scaling grid.
 //
 // -parallel sets the replay worker count for the experiments that feed
-// operand streams through the monitoring path (fig7c, fig9, dataplane,
+// operand streams through the monitoring path (fig7c, fig9, lookup,
 // fabric); 0 uses all cores, 1 restores the sequential replay. Results are
 // worker-count independent — register increments are commutative.
 // -lookup-out writes the lookup microbenchmark rows as JSON (the committed
 // BENCH_lookup.json baseline) in addition to printing the table; -round-out
 // does the same for the control-round benchmark (BENCH_round.json),
 // -tenant-out for the multi-tenant sharing benchmark (BENCH_tenant.json),
-// -dataplane-out for the data-plane throughput benchmark
-// (BENCH_dataplane.json), -recovery-out for the corruption-recovery
-// benchmark (BENCH_recovery.json), -tiered-out for the tiered-store budget
+// -recovery-out for the corruption-recovery benchmark (BENCH_recovery.json), -tiered-out for the tiered-store budget
 // sweep (BENCH_tiered.json), -fabric-out for the sharded-fabric benchmark
 // (BENCH_fabric.json), -serve-out for the service-mode soak
 // (BENCH_serve.json), and -cache-out for the lookup-cache sweep
 // (BENCH_cache.json).
 //
-// -zipf overrides the operand-stream Zipf exponent for the dataplane and
-// serve experiments (0 = uniform draws; negative keeps each experiment's
-// default workload); the chosen skew is recorded in the JSON rows so
-// committed baselines are self-describing.
+// -zipf overrides the operand-stream Zipf exponent for the serve experiment
+// (0 = uniform draws; negative keeps its default workload); the chosen skew
+// is recorded in the JSON so committed baselines are self-describing.
+//
+// cache and roundbench also enforce their wall-clock floors (see
+// cacheSpeedupFloor and roundSpeedupFloor): the run prints its table and
+// writes its JSON, and adabench exits 1 after the remaining experiments if
+// a measured speedup is below its floor. The tests of those experiments
+// assert only machine-independent properties, so the floors live here, in
+// the bench gate.
 //
 // Invalid flag values (e.g. a negative -parallel) are usage errors: adabench
 // prints the usage text and exits with status 2; experiment failures exit 1.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -70,14 +75,25 @@ var (
 	lookupOut = flag.String("lookup-out", "", "write lookup benchmark rows as JSON to this file")
 	roundOut  = flag.String("round-out", "", "write control-round benchmark rows as JSON to this file")
 	tenantOut = flag.String("tenant-out", "", "write multi-tenant sharing benchmark result as JSON to this file")
-	dataOut   = flag.String("dataplane-out", "", "write data-plane throughput benchmark rows as JSON to this file")
 	recovOut  = flag.String("recovery-out", "", "write corruption-recovery benchmark rows as JSON to this file")
 	tieredOut = flag.String("tiered-out", "", "write tiered-store budget sweep rows as JSON to this file")
 	fabricOut = flag.String("fabric-out", "", "write sharded-fabric benchmark result as JSON to this file")
 	serveOut  = flag.String("serve-out", "", "write service-mode soak benchmark result as JSON to this file")
 	cacheOut  = flag.String("cache-out", "", "write lookup-cache benchmark result as JSON to this file")
-	zipfS     = flag.Float64("zipf", -1, "override the operand-stream Zipf exponent for dataplane and serve (0 = uniform; <0 = experiment default)")
+	zipfS     = flag.Float64("zipf", -1, "override the operand-stream Zipf exponent for serve (0 = uniform; <0 = experiment default)")
 )
+
+// Wall-clock floors the bench runs enforce. cacheSpeedupFloor is the cached
+// over uncached eval throughput at the cache sweep's headline cell;
+// roundSpeedupFloor is full repopulation over the converged incremental
+// round at the 1024-entry budget.
+const (
+	cacheSpeedupFloor = 2.0
+	roundSpeedupFloor = 5.0
+)
+
+// errBelowFloor marks a run that completed but missed its wall-clock floor.
+var errBelowFloor = errors.New("below its wall-clock floor")
 
 // validateFlags rejects flag values that parse but make no sense; main
 // treats a non-nil return as a usage error (exit 2).
@@ -88,6 +104,9 @@ func validateFlags(parallel int) error {
 	return nil
 }
 
+// runners maps experiment names to their runs. A run that renders its
+// table but then misses a bench floor returns both, the error wrapping
+// errBelowFloor; run prints the table and goes on to the next experiment.
 var runners = map[string]func() (string, error){
 	"fig1a": func() (string, error) {
 		rows, err := experiments.RunFig1a(experiments.DefaultFig1aConfig())
@@ -207,7 +226,13 @@ var runners = map[string]func() (string, error){
 				return "", err
 			}
 		}
-		return experiments.RenderRoundBench(rows), nil
+		out := experiments.RenderRoundBench(rows)
+		for _, r := range rows {
+			if r.Churn == 0 && r.Speedup < roundSpeedupFloor {
+				return out, fmt.Errorf("%w: converged round speedup %.1fx, floor %.0fx", errBelowFloor, r.Speedup, roundSpeedupFloor)
+			}
+		}
+		return out, nil
 	},
 	"tiered": func() (string, error) {
 		rows, err := experiments.RunTieredBench(experiments.DefaultTieredBenchConfig())
@@ -265,25 +290,6 @@ var runners = map[string]func() (string, error){
 		}
 		return experiments.RenderTenantBench(res), nil
 	},
-	"dataplane": func() (string, error) {
-		cfg := experiments.DefaultDataplaneBenchConfig()
-		if *parallel > 0 {
-			cfg.Workers = []int{1, *parallel}
-		}
-		if *zipfS >= 0 {
-			cfg.ZipfS = *zipfS
-		}
-		rows, err := experiments.RunDataplaneBench(cfg)
-		if err != nil {
-			return "", err
-		}
-		if *dataOut != "" {
-			if err := experiments.WriteDataplaneBenchJSON(*dataOut, rows); err != nil {
-				return "", err
-			}
-		}
-		return experiments.RenderDataplaneBench(rows), nil
-	},
 	"cache": func() (string, error) {
 		res, err := experiments.RunCacheBench(experiments.DefaultCacheBenchConfig())
 		if err != nil {
@@ -294,7 +300,11 @@ var runners = map[string]func() (string, error){
 				return "", err
 			}
 		}
-		return experiments.RenderCacheBench(res), nil
+		out := experiments.RenderCacheBench(res)
+		if res.HeadlineSpeedup < cacheSpeedupFloor {
+			return out, fmt.Errorf("%w: headline speedup %.2fx, floor %.0fx", errBelowFloor, res.HeadlineSpeedup, cacheSpeedupFloor)
+		}
+		return out, nil
 	},
 	"table2": func() (string, error) {
 		rows, err := experiments.RunTable2(experiments.DefaultTable2Config())
@@ -334,7 +344,11 @@ func main() {
 	}
 }
 
+// run runs the named experiments in order. It stops at the first failure,
+// except that a missed wall-clock floor is reported after the remaining
+// experiments have run.
 func run(names []string) error {
+	var floors []error
 	for _, name := range names {
 		r, ok := runners[name]
 		if !ok {
@@ -342,11 +356,15 @@ func run(names []string) error {
 		}
 		start := time.Now()
 		out, err := r()
-		if err != nil {
+		if out != "" {
+			fmt.Println(out)
+		}
+		if errors.Is(err, errBelowFloor) {
+			floors = append(floors, fmt.Errorf("%s: %w", name, err))
+		} else if err != nil {
 			return fmt.Errorf("%s: %w", name, err)
 		}
-		fmt.Println(out)
 		fmt.Printf("[%s completed in %v]\n\n", name, time.Since(start).Round(time.Millisecond))
 	}
-	return nil
+	return errors.Join(floors...)
 }

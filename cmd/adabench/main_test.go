@@ -1,9 +1,13 @@
 package main
 
-import "testing"
+import (
+	"errors"
+	"fmt"
+	"testing"
+)
 
 func TestRunnersRegistered(t *testing.T) {
-	want := []string{"cache", "dataplane", "fabric", "fig1a", "fig1b", "fig1c", "fig5",
+	want := []string{"cache", "fabric", "fig1a", "fig1b", "fig1c", "fig5",
 		"fig6", "fig7a", "fig7b", "fig7c", "fig8", "fig9", "fig10", "lookup",
 		"recovery", "roundbench", "serve", "table2", "tenant", "tiered", "xcp"}
 	for _, name := range want {
@@ -33,6 +37,22 @@ func TestRunFastExperiments(t *testing.T) {
 func TestRunUnknownExperiment(t *testing.T) {
 	if err := run([]string{"nope"}); err == nil {
 		t.Error("unknown experiment: want error")
+	}
+}
+
+// TestRunReportsFloorMissAfterRest: a run that misses its wall-clock floor
+// does not stop the experiments after it, and run still fails.
+func TestRunReportsFloorMissAfterRest(t *testing.T) {
+	ran := false
+	runners["floor-miss"] = func() (string, error) { return "table", fmt.Errorf("%w: test", errBelowFloor) }
+	runners["after"] = func() (string, error) { ran = true; return "table", nil }
+	defer delete(runners, "floor-miss")
+	defer delete(runners, "after")
+	if err := run([]string{"floor-miss", "after"}); !errors.Is(err, errBelowFloor) {
+		t.Fatalf("run = %v, want a floor error", err)
+	}
+	if !ran {
+		t.Fatal("experiment after a floor miss did not run")
 	}
 }
 

@@ -219,17 +219,24 @@ func (e *UnaryEngine) ReloadDelta(add, remove []population.UnaryEntry) (int, err
 	return e.store.ApplyDelta(upserts, deletes)
 }
 
-// Eval looks the operand up and returns the precomputed result.
+// Eval resolves one operand as a batch of one through the lookup
+// EvalBatchInto uses and returns the precomputed result. A miss is ErrMiss;
+// action data that is not a uint64 or non-negative int is ErrResultType.
 func (e *UnaryEngine) Eval(x uint64) (uint64, error) {
-	en, ok := e.store.Lookup(x)
-	if !ok {
+	var sc Scratch
+	ords, pay := sc.lookupBatch(e.store, []uint64{x})
+	if ords[0] < 0 {
 		return 0, fmt.Errorf("%w: %s(%d)", ErrMiss, e.store.Name(), x)
 	}
-	r, ok := en.Data.(uint64)
-	if !ok {
-		return 0, fmt.Errorf("%w: %T", ErrResultType, en.Data)
+	return resultOf(ords[0], pay)
+}
+
+// resultOf resolves a hit ordinal to its result value.
+func resultOf(ord int32, pay tcam.Payloads) (uint64, error) {
+	if r, ok := pay.Value(ord); ok {
+		return r, nil
 	}
-	return r, nil
+	return 0, fmt.Errorf("%w: %T", ErrResultType, pay.Entry(ord).Data)
 }
 
 // Scratch holds the reusable buffers the typed batch-evaluation path
@@ -359,22 +366,27 @@ func (sc *Scratch) fold(flat []uint64, arity int) int {
 	return u
 }
 
-// scatter resolves every sample's result from its unique tuple's ordinal,
-// writing positional results into dst and counting misses per occurrence —
-// exactly the accounting the non-deduped path produces.
-func scatter(dst []uint64, remap []int32, ords []int32, pay tcam.Payloads) (misses int) {
-	for i, u := range remap {
-		ord := ords[u]
-		if ord < 0 {
-			dst[i] = 0
-			misses++
-			continue
-		}
+// gather writes each ordinal's result into dst — 0 where the lookup missed
+// or the action data is not integral — and counts those misses.
+func gather(dst []uint64, ords []int32, pay tcam.Payloads) (misses int) {
+	for i, ord := range ords {
 		r, ok := pay.Value(ord)
 		if !ok {
-			dst[i] = 0
 			misses++
-			continue
+		}
+		dst[i] = r
+	}
+	return misses
+}
+
+// scatter resolves every sample's result from its unique tuple's ordinal,
+// writing positional results into dst and counting misses per occurrence —
+// exactly the accounting gather produces on the non-deduped path.
+func scatter(dst []uint64, remap []int32, ords []int32, pay tcam.Payloads) (misses int) {
+	for i, u := range remap {
+		r, ok := pay.Value(ords[u])
+		if !ok {
+			misses++
 		}
 		dst[i] = r
 	}
@@ -417,21 +429,7 @@ func (e *UnaryEngine) EvalBatchInto(dst []uint64, xs []uint64, sc *Scratch) (res
 		return dst, scatter(dst, sc.remap[:len(xs)], ords, pay)
 	}
 	ords, pay := sc.lookupBatch(e.store, xs)
-	for i, ord := range ords {
-		if ord < 0 {
-			dst[i] = 0
-			misses++
-			continue
-		}
-		r, ok := pay.Value(ord)
-		if !ok {
-			dst[i] = 0
-			misses++
-			continue
-		}
-		dst[i] = r
-	}
-	return dst, misses
+	return dst, gather(dst, ords, pay)
 }
 
 // Table exposes the underlying physical table for resource accounting. It
@@ -520,17 +518,16 @@ func (e *BinaryEngine) ReloadDelta(add, remove []population.BinaryEntry) (int, e
 	return e.store.ApplyDelta(upserts, deletes)
 }
 
-// Eval looks the operand pair up and returns the precomputed result.
+// Eval resolves one operand pair as a batch of one through the lookup
+// EvalBatchInto uses and returns the precomputed result, with the unary
+// Eval's ErrMiss/ErrResultType contract.
 func (e *BinaryEngine) Eval(x, y uint64) (uint64, error) {
-	en, ok := e.store.Lookup(x, y)
-	if !ok {
+	var sc Scratch
+	ords, pay := sc.lookupBatch(e.store, []uint64{x, y})
+	if ords[0] < 0 {
 		return 0, fmt.Errorf("%w: %s(%d, %d)", ErrMiss, e.store.Name(), x, y)
 	}
-	r, ok := en.Data.(uint64)
-	if !ok {
-		return 0, fmt.Errorf("%w: %T", ErrResultType, en.Data)
-	}
-	return r, nil
+	return resultOf(ords[0], pay)
 }
 
 // EvalBatch is the two-operand batch evaluation: pairs (xs[i], ys[i]) are
@@ -568,21 +565,7 @@ func (e *BinaryEngine) EvalBatchInto(dst []uint64, xs, ys []uint64, sc *Scratch)
 		return dst, scatter(dst, sc.remap[:n], ords, pay)
 	}
 	ords, pay := sc.lookupBatch(e.store, flat)
-	for i, ord := range ords {
-		if ord < 0 {
-			dst[i] = 0
-			misses++
-			continue
-		}
-		r, ok := pay.Value(ord)
-		if !ok {
-			dst[i] = 0
-			misses++
-			continue
-		}
-		dst[i] = r
-	}
-	return dst, misses
+	return dst, gather(dst, ords, pay)
 }
 
 // Table exposes the underlying physical table for resource accounting. It

@@ -6,7 +6,9 @@ import (
 	"math/rand"
 	"testing"
 
+	"github.com/ada-repro/ada/internal/bitstr"
 	"github.com/ada-repro/ada/internal/population"
+	"github.com/ada-repro/ada/internal/tcam"
 	"github.com/ada-repro/ada/internal/trie"
 )
 
@@ -105,6 +107,37 @@ func TestUnaryEngineMiss(t *testing.T) {
 	}
 	if _, err := e.Eval(200); !errors.Is(err, ErrMiss) {
 		t.Errorf("out-of-range Eval error = %v, want ErrMiss", err)
+	}
+}
+
+// TestEvalResultTypes pins Eval's action-data contract, shared with the
+// batch path: uint64 and non-negative int data are results, anything else
+// is ErrResultType, and an unpopulated key is ErrMiss.
+func TestEvalResultTypes(t *testing.T) {
+	tb := tcam.MustNew("typed", 0, 4)
+	e, err := NewUnaryEngineOn(tb, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := []tcam.Row{
+		tcam.RowFromPrefix(bitstr.MustNew(0x0, 2, 4), uint64(7)),
+		tcam.RowFromPrefix(bitstr.MustNew(0x4, 2, 4), 9),
+		tcam.RowFromPrefix(bitstr.MustNew(0x8, 2, 4), -1),
+	}
+	if _, err := tb.ApplyRowsAtomic(rows); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := e.Eval(0x1); err != nil || got != 7 {
+		t.Errorf("uint64 data: Eval = %d, %v; want 7", got, err)
+	}
+	if got, err := e.Eval(0x5); err != nil || got != 9 {
+		t.Errorf("int data: Eval = %d, %v; want 9", got, err)
+	}
+	if _, err := e.Eval(0x9); !errors.Is(err, ErrResultType) {
+		t.Errorf("negative int data: Eval error = %v, want ErrResultType", err)
+	}
+	if _, err := e.Eval(0xd); !errors.Is(err, ErrMiss) {
+		t.Errorf("unpopulated key: Eval error = %v, want ErrMiss", err)
 	}
 }
 

@@ -484,8 +484,8 @@ func (s *UnarySystem) Observe(x uint64) { s.ctl.Monitor().Observe(x) }
 
 // ObserveAll feeds a batch of operand values to the monitoring pipeline,
 // resolving all of them against one compiled TCAM snapshot. It is the
-// entry point the parallel replay path (internal/netsim.ReplayOperands)
-// drives; safe for concurrent use.
+// entry point the parallel replay path (internal/netsim.Replay) drives;
+// safe for concurrent use.
 func (s *UnarySystem) ObserveAll(xs []uint64) { s.ctl.Monitor().ObserveAll(xs) }
 
 // ObserveEvalAll is the batched data-plane hot path: monitor the whole

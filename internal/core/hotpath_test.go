@@ -51,7 +51,8 @@ func warmedBinary(t testing.TB, seed int64) (*BinarySystem, []uint64, []uint64) 
 
 // TestConcurrentObserveEvalMatchesSequential replays one sample stream
 // through ObserveEvalAll twice — single-threaded in order, then sharded
-// across ReplayBatched workers with per-worker scratch — and requires the
+// across Replay workers in per-worker sub-batches with per-worker scratch —
+// and requires the
 // two runs to agree sample-for-sample on results and misses and end with
 // identical register snapshots and monitor stats. This is the differential
 // proof that the striped, typed hot path is bit-identical under contention.
@@ -82,14 +83,14 @@ func TestConcurrentObserveEvalMatchesSequential(t *testing.T) {
 	var concMiss atomic.Int64
 	scs := make([]arith.Scratch, workers)
 	dsts := make([][]uint64, workers)
-	netsim.ReplayBatched(workers, batch, xs2, func(w int, bvs []uint64) {
-		// bvs is a contiguous subslice of xs2; its cap runs to the end of
-		// the backing array, so the slice offset is cap(xs2)-cap(bvs).
-		off := cap(xs2) - cap(bvs)
-		out, m := concSys.ObserveEvalAll(dsts[w], bvs, &scs[w])
-		dsts[w] = out
-		copy(concRes[off:off+len(bvs)], out)
-		concMiss.Add(int64(m))
+	netsim.Replay(workers, len(xs2), func(w, lo, hi int) {
+		for off := lo; off < hi; off += batch {
+			end := min(off+batch, hi)
+			out, m := concSys.ObserveEvalAll(dsts[w], xs2[off:end], &scs[w])
+			dsts[w] = out
+			copy(concRes[off:end], out)
+			concMiss.Add(int64(m))
+		}
 	})
 	concSnap := concSys.Controller().Monitor().SnapshotAndReset()
 	concStats := concSys.Controller().Monitor().Stats()

@@ -3,6 +3,8 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
+	"time"
 
 	"github.com/ada-repro/ada/internal/arith"
 	"github.com/ada-repro/ada/internal/core"
@@ -252,6 +254,28 @@ func RunCacheBench(cfg CacheBenchConfig) (CacheBenchResult, error) {
 	}
 	res.Differential = diff
 	return res, nil
+}
+
+// measure times fn over the stream and reports samples/sec plus heap
+// allocations per batch.
+func measure(samples, batches int, fn func()) (samplesSec, allocsBatch float64) {
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	start := time.Now()
+	fn()
+	elapsed := time.Since(start)
+	runtime.ReadMemStats(&after)
+	samplesSec = float64(samples) / elapsed.Seconds()
+	allocsBatch = float64(after.Mallocs-before.Mallocs) / float64(batches)
+	return samplesSec, allocsBatch
+}
+
+func batchCount(n, batch int) int {
+	if batch <= 0 {
+		return 1
+	}
+	return (n + batch - 1) / batch
 }
 
 // measureMedian runs measure three times and reports the median throughput

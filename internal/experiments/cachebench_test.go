@@ -24,10 +24,10 @@ func shortCacheBenchConfig() CacheBenchConfig {
 // eval output bitwise against the uncached path before timing, and the
 // differential soak drives a cached and an uncached system through identical
 // churn, faults, audits, and a crash/restart, failing on any divergence in
-// results, miss counts, calculation fingerprints, or monitor registers. In
-// short/CI mode only sanity bounds are asserted — single-core runners make
-// throughput ratios unstable; the committed BENCH_cache.json records the
-// full-run speedups, which must show >=2x at the headline cell.
+// results, miss counts, calculation fingerprints, or monitor registers. It
+// asserts only machine-independent properties: the wall-clock speedup floor
+// at the headline cell is enforced by `adabench cache` (make bench-cache),
+// which exits non-zero below it.
 func TestCacheBenchAcceptance(t *testing.T) {
 	cfg := DefaultCacheBenchConfig()
 	if testing.Short() {
@@ -56,9 +56,6 @@ func TestCacheBenchAcceptance(t *testing.T) {
 	if res.HeadlineSpeedup <= 0 {
 		t.Errorf("headline cell (s=%.1f, %d entries) missing from sweep",
 			cfg.HeadlineZipfS, cfg.HeadlineCacheEntries)
-	}
-	if !testing.Short() && !raceEnabled && res.HeadlineSpeedup < 2 {
-		t.Errorf("headline speedup %.2fx, want >=2x in full mode", res.HeadlineSpeedup)
 	}
 
 	d := res.Differential

@@ -246,7 +246,7 @@ func RunFig7c(cfg Fig7cConfig) ([]Fig7cRow, error) {
 			return nil, err
 		}
 		for round := 0; round < cfg.AdaptRounds; round++ {
-			netsim.Replay(cfg.Workers, len(seeds), func(lo, hi int) {
+			netsim.Replay(cfg.Workers, len(seeds), func(_, lo, hi int) {
 				traj := make([]uint64, 0, cfg.Iterations)
 				for _, x0 := range seeds[lo:hi] {
 					x := x0

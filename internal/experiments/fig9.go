@@ -72,7 +72,8 @@ func RunFig9(cfg Fig9Config) ([]Fig9Row, error) {
 			s := dist.NewIntSampler(
 				dist.Truncated{D: dist.Gaussian{Mu: rate, Sigma: 2}, Lo: 0, Hi: float64(uint64(1) << cfg.Width)},
 				uint64(1)<<cfg.Width-1, cfg.Seed+int64(round))
-			netsim.ReplayOperands(cfg.Workers, s.Draw(cfg.SamplesPerRound), sys.ObserveAll)
+			vs := s.Draw(cfg.SamplesPerRound)
+			netsim.Replay(cfg.Workers, len(vs), func(_, lo, hi int) { sys.ObserveAll(vs[lo:hi]) })
 			rep, err := sys.Sync()
 			if err != nil {
 				return nil, err

@@ -11,8 +11,9 @@ import (
 )
 
 // LookupBenchConfig parameterises the data-plane lookup microbenchmark: the
-// compiled per-generation index against the reference linear scan, plus the
-// batch and parallel replay paths the experiments use.
+// compiled per-generation index, reached through LookupIndexBatch as batches
+// of one and as one full batch, against the reference linear scan, plus the
+// parallel replay path the experiments use.
 type LookupBenchConfig struct {
 	// Sizes are the table entry counts swept (powers of two — each size
 	// installs a full-domain prefix cover of that many leaves).
@@ -54,9 +55,11 @@ type LookupBenchRow struct {
 	Entries int `json:"entries"`
 	// ScanNs is the reference linear scan (LookupAll) cost per lookup.
 	ScanNs float64 `json:"scan_ns"`
-	// IndexedNs is the compiled-index Lookup cost per lookup.
+	// IndexedNs is the compiled-index cost per key resolved as a batch of
+	// one through LookupIndexBatch.
 	IndexedNs float64 `json:"indexed_ns"`
-	// BatchNs is the LookupBatch cost per lookup (one snapshot per batch).
+	// BatchNs is the cost per key of one LookupIndexBatch call over the
+	// whole probe stream (one snapshot per batch).
 	BatchNs float64 `json:"batch_ns"`
 	// Speedup is ScanNs / IndexedNs.
 	Speedup float64 `json:"speedup"`
@@ -110,7 +113,7 @@ func RunLookupBench(cfg LookupBenchConfig) ([]LookupBenchRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		t.Lookup(keys[0]) // compile the index outside the timed region
+		dst, _ := t.LookupIndexBatch(keys[:1], nil) // compile the index outside the timed region
 
 		// Reference linear scan. LookupAll deliberately bypasses the
 		// index; cap the probe count so 8k entries stays sub-second.
@@ -129,33 +132,34 @@ func RunLookupBench(cfg LookupBenchConfig) ([]LookupBenchRow, error) {
 		}
 		scanNs := float64(time.Since(start).Nanoseconds()) / float64(scanProbes)
 
-		// Compiled index, sequential.
+		// Compiled index, one key per call.
 		start = time.Now()
-		for _, k := range keys {
-			if _, ok := t.Lookup(k); !ok {
-				return nil, fmt.Errorf("lookupbench: indexed miss on full cover (key %d)", k)
+		for i := range keys {
+			if dst, _ = t.LookupIndexBatch(keys[i:i+1], dst); dst[0] < 0 {
+				return nil, fmt.Errorf("lookupbench: indexed miss on full cover (key %d)", keys[i])
 			}
 		}
 		indexedNs := float64(time.Since(start).Nanoseconds()) / float64(len(keys))
 
 		// Batch path: one compiled snapshot per batch.
-		var dst []*tcam.Entry
 		start = time.Now()
-		dst = t.LookupSingleBatch(keys, dst)
+		ords, _ := t.LookupIndexBatch(keys, nil)
 		batchNs := float64(time.Since(start).Nanoseconds()) / float64(len(keys))
-		for _, e := range dst {
-			if e == nil {
+		for _, ord := range ords {
+			if ord < 0 {
 				return nil, fmt.Errorf("lookupbench: batch miss on full cover")
 			}
 		}
 
-		// Parallel replay: shard the same probe stream across workers.
+		// Parallel replay: shard the same probe stream across workers, each
+		// resolving its keys one per call.
 		parallel := make([]LookupParallelPoint, 0, len(cfg.Workers))
 		for _, w := range cfg.Workers {
 			start = time.Now()
-			netsim.Replay(w, len(keys), func(lo, hi int) {
-				for _, k := range keys[lo:hi] {
-					t.Lookup(k)
+			netsim.Replay(w, len(keys), func(_, lo, hi int) {
+				var dst []int32
+				for i := lo; i < hi; i++ {
+					dst, _ = t.LookupIndexBatch(keys[i:i+1], dst)
 				}
 			})
 			parallel = append(parallel, LookupParallelPoint{
@@ -185,7 +189,7 @@ func WriteLookupBenchJSON(path string, rows []LookupBenchRow) error {
 // RenderLookupBench formats the rows.
 func RenderLookupBench(rows []LookupBenchRow) string {
 	t := stats.NewTable("Lookup microbenchmark: compiled index vs reference linear scan (ns per lookup)",
-		"entries", "scan", "indexed", "batch", "speedup", "parallel (workers:ns)")
+		"entries", "scan", "batch of 1", "full batch", "speedup", "parallel (workers:ns)")
 	for _, r := range rows {
 		par := ""
 		for i, p := range r.Parallel {

@@ -15,15 +15,15 @@ func shortRoundBenchConfig() RoundBenchConfig {
 	return cfg
 }
 
-// TestRoundBenchAcceptance runs the issue's acceptance sweep: a converged
-// (0% churn) incremental round must recompute nothing, and at the 1024-entry
-// budget it must beat full repopulation by at least 5× wall-clock.
+// TestRoundBenchAcceptance runs the acceptance sweep: a converged (0% churn)
+// incremental round must recompute and write nothing, and no churn level
+// may recompute more than full repopulation. The wall-clock floor (≥5× over
+// full repopulation at the 1024-entry budget) is enforced by
+// `adabench roundbench` (make bench-round), which exits non-zero below it.
 func TestRoundBenchAcceptance(t *testing.T) {
 	cfg := DefaultRoundBenchConfig()
 	if testing.Short() {
 		cfg = shortRoundBenchConfig()
-		// Short mode keeps the equivalence + zero-recompute checks but not
-		// the wall-clock ratio, which needs the full budget to be stable.
 	}
 	rows, err := RunRoundBench(cfg)
 	if err != nil {
@@ -37,9 +37,6 @@ func TestRoundBenchAcceptance(t *testing.T) {
 			}
 			if r.IncWrites != 0 {
 				t.Errorf("converged round wrote %.1f TCAM entries, want 0", r.IncWrites)
-			}
-			if !testing.Short() && r.Speedup < 5 {
-				t.Errorf("converged speedup %.1fx below the 5x acceptance floor", r.Speedup)
 			}
 		}
 		if r.IncComputed > r.FullComputed {

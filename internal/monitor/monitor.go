@@ -226,29 +226,11 @@ func (m *Monitor) lane() []uint64 {
 	return m.stripes[int(m.nextLane.Add(1))%len(m.stripes)]
 }
 
-// Observe records one data-plane sample: match the monitoring TCAM,
-// increment the winning bin's register. It reports whether the sample
-// matched a bin. The critical section is shared (read-locked) and the bin
-// lookup is lock-free, so concurrent observers do not serialize; only the
-// register/stat update is synchronized, via per-stripe atomics.
+// Observe records one data-plane sample — match the monitoring TCAM,
+// increment the winning bin's register — as a batch of one through
+// ObserveAll's path. It reports whether the sample matched a bin.
 func (m *Monitor) Observe(v uint64) bool {
-	if m.width < 64 {
-		v &= uint64(1)<<uint(m.width) - 1
-	}
-	m.stats.observations.Add(1)
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	e, ok := m.table.Lookup(v)
-	if !ok {
-		return false
-	}
-	idx, ok := e.Data.(int)
-	if !ok || idx < 0 || idx >= m.bins {
-		return false
-	}
-	atomic.AddUint64(&m.lane()[idx], 1)
-	m.stats.matched.Add(1)
-	return true
+	return m.observe([]uint64{v}) == 1
 }
 
 // ObserveAll records a batch of samples, resolving all of them against one
@@ -257,9 +239,16 @@ func (m *Monitor) Observe(v uint64) bool {
 // ordinal buffers recycle through an internal pool, and the whole batch
 // increments one register stripe.
 func (m *Monitor) ObserveAll(vs []uint64) {
-	if len(vs) == 0 {
-		return
+	if len(vs) > 0 {
+		m.observe(vs)
 	}
+}
+
+// observe records vs and returns how many matched a bin. The critical
+// section is shared (read-locked) and the bin lookup is lock-free, so
+// concurrent observers do not serialize; only the register/stat update is
+// synchronized, via per-stripe atomics.
+func (m *Monitor) observe(vs []uint64) (matched uint64) {
 	mask := ^uint64(0)
 	if m.width < 64 {
 		mask = uint64(1)<<uint(m.width) - 1
@@ -279,11 +268,7 @@ func (m *Monitor) ObserveAll(vs []uint64) {
 	ords, pay := m.table.LookupIndexBatch(keys, sc.ords)
 	lane := m.lane()
 	bins := uint64(m.bins)
-	var matched uint64
 	for _, ord := range ords {
-		if ord < 0 {
-			continue
-		}
 		idx, ok := pay.Value(ord)
 		if !ok || idx >= bins {
 			continue
@@ -295,6 +280,7 @@ func (m *Monitor) ObserveAll(vs []uint64) {
 	m.stats.matched.Add(matched)
 	sc.keys, sc.ords = keys, ords
 	m.scratch.Put(sc)
+	return matched
 }
 
 // drainLocked merges the stripes into dst (when non-nil) with register-width

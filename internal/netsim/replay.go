@@ -11,10 +11,15 @@ import (
 // once — the event-driven simulator itself stays single-threaded; only the
 // replay of already-generated samples parallelises.
 //
-// workers <= 0 selects GOMAXPROCS. Shards are contiguous and cover [0, n)
-// exactly once, so any per-index work is done exactly once regardless of
-// the worker count; fn must be safe to call concurrently.
-func Replay(workers, n int, fn func(lo, hi int)) {
+// workers <= 0 selects GOMAXPROCS, and never more workers than n run.
+// Shards are contiguous and cover [0, n) exactly once, so any per-index
+// work is done exactly once regardless of the worker count. fn receives
+// its worker number, in [0, workers) and distinct across concurrent calls,
+// so a caller can keep one set of scratch buffers per worker; fn must be
+// safe to call concurrently for distinct workers. Register increments are
+// commutative, so a monitor fed this way ends in the same state as a
+// sequential replay.
+func Replay(workers, n int, fn func(worker, lo, hi int)) {
 	if n <= 0 {
 		return
 	}
@@ -25,84 +30,18 @@ func Replay(workers, n int, fn func(lo, hi int)) {
 		workers = n
 	}
 	if workers == 1 {
-		fn(0, n)
+		fn(0, 0, n)
 		return
 	}
 	var wg sync.WaitGroup
 	chunk := (n + workers - 1) / workers
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
-}
-
-// ReplayOperands shards an operand stream across workers and hands each
-// shard to observe as one batch (e.g. core.UnarySystem.ObserveAll), so each
-// worker resolves its whole shard against one compiled TCAM snapshot.
-// Register increments are commutative, so the resulting monitor state is
-// identical to a sequential replay regardless of the worker count.
-func ReplayOperands(workers int, vs []uint64, observe func([]uint64)) {
-	Replay(workers, len(vs), func(lo, hi int) {
-		observe(vs[lo:hi])
-	})
-}
-
-// ReplayBatched shards an operand stream across workers like ReplayOperands,
-// then feeds each worker's shard to fn in sub-batches of at most batchSize
-// samples — the shape the zero-allocation data-plane path wants: the caller
-// keeps one set of scratch buffers per worker (indexed by the worker
-// argument, always in [0, workers)) and reuses them across that worker's
-// batches. batchSize <= 0 hands each shard over as a single batch. Every
-// sample is delivered exactly once; fn must be safe to call concurrently
-// for distinct workers.
-func ReplayBatched(workers, batchSize int, vs []uint64, fn func(worker int, batch []uint64)) {
-	n := len(vs)
-	if n == 0 {
-		return
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	chunk := (n + workers - 1) / workers
-	run := func(w int, vs []uint64) {
-		if batchSize <= 0 {
-			fn(w, vs)
-			return
-		}
-		for lo := 0; lo < len(vs); lo += batchSize {
-			hi := lo + batchSize
-			if hi > len(vs) {
-				hi = len(vs)
-			}
-			fn(w, vs[lo:hi])
-		}
-	}
-	if workers == 1 {
-		run(0, vs)
-		return
-	}
-	var wg sync.WaitGroup
 	for w, lo := 0, 0; lo < n; w, lo = w+1, lo+chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
+		hi := min(lo+chunk, n)
 		wg.Add(1)
-		go func(w int, shard []uint64) {
+		go func(w, lo, hi int) {
 			defer wg.Done()
-			run(w, shard)
-		}(w, vs[lo:hi])
+			fn(w, lo, hi)
+		}(w, lo, hi)
 	}
 	wg.Wait()
 }
@@ -134,42 +73,30 @@ func NewShardedReplay(shards, batchSize int) *ShardedReplay {
 	return &ShardedReplay{shards: shards, batchSize: batchSize}
 }
 
-// Replay routes vs across shards from `workers` goroutines. route maps a
-// sample to its shard (must be pure and in [0, shards)); fn consumes one
-// worker's batch for one shard. Every sample is delivered exactly once, in
-// stream order within a (worker, shard) pair.
+// Replay routes vs across shards from `workers` goroutines, splitting the
+// stream with the package-level Replay. route maps a sample to its shard
+// (must be pure and in [0, shards)); fn consumes one worker's batch for one
+// shard. Every sample is delivered exactly once, in stream order within a
+// (worker, shard) pair.
 func (r *ShardedReplay) Replay(workers int, vs []uint64, route func(uint64) int, fn func(worker, shard int, batch []uint64)) {
-	n := len(vs)
-	if n == 0 {
-		return
-	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > n {
-		workers = n
-	}
+	workers = min(workers, len(vs))
 	for len(r.bufs) < workers {
 		r.bufs = append(r.bufs, make([][]uint64, r.shards))
 	}
-	if workers == 1 {
+	switch workers {
+	case 0:
+	case 1:
+		// The one-worker pass is the steady-state ingest path; calling
+		// runShard directly keeps it free of Replay's closure allocation.
 		r.runShard(0, vs, route, fn)
-		return
+	default:
+		Replay(workers, len(vs), func(w, lo, hi int) {
+			r.runShard(w, vs[lo:hi], route, fn)
+		})
 	}
-	chunk := (n + workers - 1) / workers
-	var wg sync.WaitGroup
-	for w, lo := 0, 0; lo < n; w, lo = w+1, lo+chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(w int, shard []uint64) {
-			defer wg.Done()
-			r.runShard(w, shard, route, fn)
-		}(w, vs[lo:hi])
-	}
-	wg.Wait()
 }
 
 func (r *ShardedReplay) runShard(w int, shard []uint64, route func(uint64) int, fn func(worker, shard int, batch []uint64)) {

@@ -11,7 +11,7 @@ func TestReplayCoversRangeExactlyOnce(t *testing.T) {
 		for _, n := range []int{0, 1, 5, 64, 1000} {
 			var mu sync.Mutex
 			seen := make([]int, n)
-			Replay(workers, n, func(lo, hi int) {
+			Replay(workers, n, func(_, lo, hi int) {
 				if lo < 0 || hi > n || lo > hi {
 					t.Errorf("workers=%d n=%d: bad shard [%d, %d)", workers, n, lo, hi)
 					return
@@ -31,27 +31,25 @@ func TestReplayCoversRangeExactlyOnce(t *testing.T) {
 	}
 }
 
-func TestReplayOperandsShardsEverySample(t *testing.T) {
-	vs := make([]uint64, 1237)
-	for i := range vs {
-		vs[i] = uint64(i)
-	}
-	var total, batches atomic.Uint64
-	ReplayOperands(4, vs, func(shard []uint64) {
-		batches.Add(1)
-		var sum uint64
-		for _, v := range shard {
-			sum += v
+// TestReplayWorkerShards checks every shard reports a distinct worker index
+// in [0, workers), the contract per-worker scratch buffers rely on.
+func TestReplayWorkerShards(t *testing.T) {
+	for _, workers := range []int{1, 3, 4, 7} {
+		const n = 1237
+		var mu sync.Mutex
+		seen := make(map[int]bool)
+		var total atomic.Uint64
+		Replay(workers, n, func(w, lo, hi int) {
+			mu.Lock()
+			if w < 0 || w >= workers || seen[w] {
+				t.Errorf("workers=%d: bad or repeated worker index %d", workers, w)
+			}
+			seen[w] = true
+			mu.Unlock()
+			total.Add(uint64(hi - lo))
+		})
+		if len(seen) != workers || total.Load() != n {
+			t.Errorf("workers=%d: %d shards covering %d indices, want %d covering %d", workers, len(seen), total.Load(), workers, n)
 		}
-		total.Add(sum)
-	})
-	want := uint64(len(vs)) * uint64(len(vs)-1) / 2
-	if total.Load() != want {
-		t.Errorf("shard sum = %d, want %d", total.Load(), want)
 	}
-	if b := batches.Load(); b != 4 {
-		t.Errorf("batches = %d, want 4", b)
-	}
-	// Empty stream: observe must not be called.
-	ReplayOperands(4, nil, func([]uint64) { t.Error("observe called for empty stream") })
 }

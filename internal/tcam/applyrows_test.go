@@ -57,7 +57,7 @@ func TestApplyRowsDataOnlyChange(t *testing.T) {
 	if writes != 1 {
 		t.Errorf("data-only change writes = %d, want 1", writes)
 	}
-	e, ok := tb.Lookup(7)
+	e, ok := lookupOne(tb, 7)
 	if !ok || e.Data.(uint64) != 99 {
 		t.Fatalf("lookup after update: %v", e)
 	}
@@ -82,7 +82,7 @@ func TestApplyRowsAddAndRemove(t *testing.T) {
 	if tb.Len() != 3 {
 		t.Errorf("Len = %d", tb.Len())
 	}
-	if e, ok := tb.Lookup(5); !ok || e.Data.(uint64) != 4 {
+	if e, ok := lookupOne(tb, 5); !ok || e.Data.(uint64) != 4 {
 		t.Fatalf("lookup 5: %v", e)
 	}
 }
@@ -163,8 +163,8 @@ func TestQuickApplyRowsMatchesReplaceAll(t *testing.T) {
 		// Same lookups everywhere.
 		for probe := 0; probe < 40; probe++ {
 			key := rng.Uint64() & ((uint64(1) << uint(width)) - 1)
-			ea, oka := a.Lookup(key)
-			eb, okb := b.Lookup(key)
+			ea, oka := lookupOne(a, key)
+			eb, okb := lookupOne(b, key)
 			if oka != okb {
 				t.Fatalf("trial %d key %d: hit mismatch %v vs %v", trial, key, oka, okb)
 			}

@@ -45,10 +45,10 @@ func TestApplyRowsPartialFailureContract(t *testing.T) {
 	if tb.Len() != 1 {
 		t.Errorf("Len = %d, want 1 (only 0xx survives)", tb.Len())
 	}
-	if _, ok := tb.Lookup(5); ok {
+	if _, ok := lookupOne(tb, 5); ok {
 		t.Error("key 5 still resolves; expected a coverage hole after partial failure")
 	}
-	if e, ok := tb.Lookup(2); !ok || e.Data.(uint64) != 1 {
+	if e, ok := lookupOne(tb, 2); !ok || e.Data.(uint64) != 1 {
 		t.Errorf("untouched row 0xx lost: %v", e)
 	}
 }
@@ -81,7 +81,7 @@ func TestApplyRowsAtomicRollsBack(t *testing.T) {
 		t.Errorf("stats changed across a rolled-back commit: %+v want %+v", tb.Stats(), stats)
 	}
 	// The update admitted before the failure must not leak: 0xx keeps data 1.
-	if e, ok := tb.Lookup(2); !ok || e.Data.(uint64) != 1 {
+	if e, ok := lookupOne(tb, 2); !ok || e.Data.(uint64) != 1 {
 		t.Errorf("lookup 2 after rollback: %v", e)
 	}
 
@@ -179,7 +179,7 @@ func TestRowLevelHooks(t *testing.T) {
 	if tb.Len() != 1 {
 		t.Errorf("Len = %d, want 1", tb.Len())
 	}
-	if e, ok := tb.Lookup(2); !ok || e.Data.(uint64) != 1 {
+	if e, ok := lookupOne(tb, 2); !ok || e.Data.(uint64) != 1 {
 		t.Errorf("entry changed under failing hook: %v", e)
 	}
 }

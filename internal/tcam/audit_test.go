@@ -80,9 +80,9 @@ func TestTamperDataSilentButServed(t *testing.T) {
 	if got := tb.Version(); got != v {
 		t.Errorf("TamperData bumped Version %d → %d; silent corruption must stay invisible", v, got)
 	}
-	e, ok := tb.Lookup(2)
+	e, ok := lookupOne(tb, 2)
 	if !ok {
-		t.Fatal("Lookup(2): miss")
+		t.Fatal("lookup(2): miss")
 	}
 	if e.Data.(uint64) != 999 {
 		t.Errorf("data plane serves %v after tamper, want corrupted 999", e.Data)
@@ -190,7 +190,7 @@ func TestTamperThenAPIWriteKeepsIndexFresh(t *testing.T) {
 	if err := tb.TamperData(rows[1].Fields, rows[1].Priority, uint64(500)); err != nil {
 		t.Fatal(err)
 	}
-	if e, ok := tb.Lookup(2); !ok || e.Data.(uint64) != 500 {
+	if e, ok := lookupOne(tb, 2); !ok || e.Data.(uint64) != 500 {
 		t.Fatalf("post-tamper lookup: %v %v, want 500", e, ok)
 	}
 	// A normal API write on top of the tamper must recompile and serve both.
@@ -198,10 +198,10 @@ func TestTamperThenAPIWriteKeepsIndexFresh(t *testing.T) {
 	if _, err := tb.InsertPrefix(p, 1, uint64(9)); err != nil {
 		t.Fatal(err)
 	}
-	if e, ok := tb.Lookup(1); !ok || e.Data.(uint64) != 9 {
+	if e, ok := lookupOne(tb, 1); !ok || e.Data.(uint64) != 9 {
 		t.Fatalf("lookup of new row: %v %v, want 9", e, ok)
 	}
-	if e, ok := tb.Lookup(2); !ok || e.Data.(uint64) != 500 {
+	if e, ok := lookupOne(tb, 2); !ok || e.Data.(uint64) != 500 {
 		t.Fatalf("tampered row lost after API write: %v %v, want 500", e, ok)
 	}
 }

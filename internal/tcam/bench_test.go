@@ -47,13 +47,17 @@ func scanLookup(tb *Table, keys ...uint64) (*Entry, bool) {
 	return nil, false
 }
 
+// benchmarkLookup measures a single key resolved as a batch of one, the
+// shape of UnaryEngine.Eval and Monitor.Observe.
 func benchmarkLookup(b *testing.B, entries int) {
 	tb := benchTable(b, entries)
 	keys := benchKeys(1024)
-	tb.Lookup(keys[0]) // compile the index outside the timed region
+	dst, _ := tb.LookupIndexBatch(keys[:1], nil) // compile the index outside the timed region
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tb.Lookup(keys[i%len(keys)])
+		k := i % len(keys)
+		dst, _ = tb.LookupIndexBatch(keys[k:k+1], dst)
 	}
 }
 
@@ -80,27 +84,30 @@ func BenchmarkLookupScan8192(b *testing.B) { benchmarkLookupScan(b, 8192) }
 func BenchmarkLookupParallel1024(b *testing.B) {
 	tb := benchTable(b, 1024)
 	keys := benchKeys(1024)
-	tb.Lookup(keys[0])
+	tb.LookupIndexBatch(keys[:1], nil)
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
+		var dst []int32
 		i := 0
 		for pb.Next() {
-			tb.Lookup(keys[i%len(keys)])
+			k := i % len(keys)
+			dst, _ = tb.LookupIndexBatch(keys[k:k+1], dst)
 			i++
 		}
 	})
 }
 
+// BenchmarkLookupBatch1024 resolves the whole 1024-key batch per op against
+// one snapshot.
 func BenchmarkLookupBatch1024(b *testing.B) {
 	tb := benchTable(b, 1024)
 	keys := benchKeys(1024)
-	var dst []*Entry
-	tb.Lookup(keys[0])
+	dst, _ := tb.LookupIndexBatch(keys, nil)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dst = tb.LookupSingleBatch(keys, dst)
+		dst, _ = tb.LookupIndexBatch(keys, dst)
 	}
-	_ = dst
 }
 
 func BenchmarkApplyRowsNoChange(b *testing.B) {
@@ -210,17 +217,18 @@ func BenchmarkTieredIndexBatch1280(b *testing.B) { benchmarkTieredIndexBatch(b, 
 func BenchmarkTableIndexBatch128(b *testing.B)   { benchmarkTableIndexBatch(b, 128) }
 func BenchmarkTableIndexBatch1280(b *testing.B)  { benchmarkTableIndexBatch(b, 1280) }
 
-// BenchmarkTieredSingleBatch covers the satellite fix: the single-field
-// tiered batch path must be allocation-free like the Table path.
-func BenchmarkTieredSingleBatch1280(b *testing.B) {
+// BenchmarkTieredLookup1280 resolves single keys as batches of one against
+// the tiered snapshot; like the Table path it must not allocate.
+func BenchmarkTieredLookup1280(b *testing.B) {
 	const width = 16
 	ts, _ := benchTieredPair(b, 128, 1280, width)
 	keys := benchWidthKeys(1024, width)
-	var dst []*Entry
+	dst, _ := ts.LookupIndexBatch(keys[:1], nil)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dst = ts.LookupSingleBatch(keys, dst)
+		k := i % len(keys)
+		dst, _ = ts.LookupIndexBatch(keys[k:k+1], dst)
 	}
 }
 
@@ -275,3 +283,27 @@ func BenchmarkLookupCacheUncached4096(b *testing.B) {
 		dst, _ = tb.LookupIndexBatch(flat, dst)
 	}
 }
+
+// BenchmarkBuildIndexTiling3840 compiles a 3840-row disjoint tiling of a
+// 17-bit domain — the cold tier of a 4096-entry population over a 256-row
+// TCAM slice — which takes the predecessor-search range set and no trie.
+func BenchmarkBuildIndexTiling3840(b *testing.B) {
+	root, _ := bitstr.Root(17)
+	tb := MustNew("bench-compile", 0, 17)
+	rows := make([]Row, 0, 3840)
+	for i, p := range subdivideForBench(root, 3840) {
+		rows = append(rows, RowFromPrefix(p, uint64(i)))
+	}
+	if _, err := tb.ApplyRowsAtomic(rows); err != nil {
+		b.Fatal(err)
+	}
+	ordered := tb.Entries()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		indexSink = buildIndex(0, tb.fieldWidths, ordered, 0)
+	}
+}
+
+// indexSink keeps the compiler from discarding a benchmarked build.
+var indexSink *index

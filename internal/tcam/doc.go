@@ -9,9 +9,21 @@
 // priority and insertion order as tie-breakers.
 //
 // Capacity is a hard limit, as TCAM is the scarce resource whose footprint
-// ADA exists to minimise. The table also keeps operation counters so the
+// ADA exists to minimise. The table also counts row writes so the
 // control-plane overhead accounting (paper Table II, Fig 9) can be derived
 // from real operation counts rather than estimates.
+//
+// # One lookup path
+//
+// A Store has exactly one data-plane lookup, LookupIndexBatch: packed key
+// tuples resolve to dense ordinals of one immutable compiled snapshot, plus
+// the Payloads view that turns an ordinal into its action data (or, for
+// control-plane callers, its *Entry). A single key is a batch of one. Table
+// and both tiers of a TieredStore compile their rows with the same
+// buildIndex (index.go), which picks a range set, a product grid, a trie,
+// or a linear scan per entry set; tenant slices translate keys and resolve
+// against their physical table. Table.LookupAll is the uncompiled reference
+// scan the differential tests compare every form against.
 //
 // # The generation/version contract
 //

@@ -8,6 +8,18 @@ import (
 	"github.com/ada-repro/ada/internal/bitstr"
 )
 
+// lookupOne resolves one key tuple as a batch of one through the store's
+// LookupIndexBatch and returns the winning snapshot entry. A tuple of the
+// wrong arity misses.
+func lookupOne(s Store, keys ...uint64) (*Entry, bool) {
+	if len(keys) != len(s.FieldWidths()) {
+		return nil, false
+	}
+	ords, pay := s.LookupIndexBatch(keys, nil)
+	e := pay.Entry(ords[0])
+	return e, e != nil
+}
+
 // randomPrefixTable builds a table with n random prefix entries over the
 // given field widths (one prefix per field), random priorities.
 func randomPrefixTable(t testing.TB, rng *rand.Rand, n int, widths ...int) *Table {
@@ -31,7 +43,8 @@ func randomPrefixTable(t testing.TB, rng *rand.Rand, n int, widths ...int) *Tabl
 
 // TestIndexDifferentialSingleField proves the compiled index resolves
 // bit-identically to the reference scan on ≥10k random keys across random
-// single-field tables (the acceptance-criteria differential).
+// single-field tables — overlapping prefixes (trie) and disjoint ones
+// (range sets) alike.
 func TestIndexDifferentialSingleField(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	keysChecked := 0
@@ -40,7 +53,7 @@ func TestIndexDifferentialSingleField(t *testing.T) {
 		tb := randomPrefixTable(t, rng, 1+rng.Intn(200), width)
 		for probe := 0; probe < 300; probe++ {
 			key := rng.Uint64() & lowMask(width)
-			got, ok := tb.Lookup(key)
+			got, ok := lookupOne(tb, key)
 			all := tb.LookupAll(key)
 			if (len(all) > 0) != ok {
 				t.Fatalf("width %d key %#x: indexed ok=%v, reference found %d", width, key, ok, len(all))
@@ -72,7 +85,7 @@ func TestIndexDifferentialMultiField(t *testing.T) {
 			for i, w := range widths {
 				keys[i] = rng.Uint64() & lowMask(w)
 			}
-			got, ok := tb.Lookup(keys...)
+			got, ok := lookupOne(tb, keys...)
 			all := tb.LookupAll(keys...)
 			if (len(all) > 0) != ok {
 				t.Fatalf("widths %v keys %v: indexed ok=%v, reference found %d", widths, keys, ok, len(all))
@@ -99,7 +112,7 @@ func TestIndexFallbackNonPrefixMask(t *testing.T) {
 		t.Fatal(err)
 	}
 	for key := uint64(0); key < 256; key++ {
-		got, ok := tb.Lookup(key)
+		got, ok := lookupOne(tb, key)
 		all := tb.LookupAll(key)
 		if (len(all) > 0) != ok {
 			t.Fatalf("key %#x: ok=%v, reference %d", key, ok, len(all))
@@ -120,26 +133,26 @@ func TestIndexSeesMutations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e, ok := tb.Lookup(5); !ok || e.Data.(string) != "a" {
+	if e, ok := lookupOne(tb, 5); !ok || e.Data.(string) != "a" {
 		t.Fatalf("after insert: %v", e)
 	}
 	if err := tb.UpdateData(id, "b"); err != nil {
 		t.Fatal(err)
 	}
-	if e, ok := tb.Lookup(5); !ok || e.Data.(string) != "b" {
+	if e, ok := lookupOne(tb, 5); !ok || e.Data.(string) != "b" {
 		t.Fatalf("after update: %v", e)
 	}
 	if err := tb.Delete(id); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := tb.Lookup(5); ok {
+	if _, ok := lookupOne(tb, 5); ok {
 		t.Fatal("lookup hit after delete")
 	}
 	tb.Clear()
 	if _, err := tb.InsertPrefix(p, 0, "c"); err != nil {
 		t.Fatal(err)
 	}
-	if e, ok := tb.Lookup(5); !ok || e.Data.(string) != "c" {
+	if e, ok := lookupOne(tb, 5); !ok || e.Data.(string) != "c" {
 		t.Fatalf("after clear+insert: %v", e)
 	}
 }
@@ -171,8 +184,9 @@ func generationRows(t *testing.T, tag int) []Row {
 	return rows
 }
 
-// TestIndexNoTornGeneration hammers lock-free Lookup/LookupBatch against
-// ApplyRowsAtomic/ReplaceAll commits. Every committed population tags all
+// TestIndexNoTornGeneration hammers lock-free LookupIndexBatch calls —
+// batches of eight and batches of one — against ApplyRowsAtomic/ReplaceAll
+// commits. Every committed population tags all
 // of its rows with one generation number; a batch resolved against a single
 // snapshot must never mix tags, and no lookup may miss (every population
 // covers the domain). Run under -race this also proves the read path is
@@ -196,7 +210,8 @@ func TestIndexNoTornGeneration(t *testing.T) {
 		go func(seed int64) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed))
-			keys := make([][]uint64, 8)
+			keys := make([]uint64, 8)
+			var ords []int32
 			for {
 				select {
 				case <-stop:
@@ -204,11 +219,13 @@ func TestIndexNoTornGeneration(t *testing.T) {
 				default:
 				}
 				for i := range keys {
-					keys[i] = []uint64{rng.Uint64() & 0xF}
+					keys[i] = rng.Uint64() & 0xF
 				}
-				got := tb.LookupBatch(keys)
+				var pay Payloads
+				ords, pay = tb.LookupIndexBatch(keys, ords)
 				tag := -1
-				for i, e := range got {
+				for i, ord := range ords {
+					e := pay.Entry(ord)
 					if e == nil {
 						select {
 						case errs <- "lookup miss mid-commit (torn or empty generation)":
@@ -226,7 +243,7 @@ func TestIndexNoTornGeneration(t *testing.T) {
 						return
 					}
 				}
-				if e, ok := tb.Lookup(rng.Uint64() & 0xF); !ok || e == nil {
+				if e, ok := lookupOne(tb, rng.Uint64()&0xF); !ok || e == nil {
 					select {
 					case errs <- "single lookup missed a fully covered domain":
 					default:
@@ -258,41 +275,7 @@ func TestIndexNoTornGeneration(t *testing.T) {
 	}
 }
 
-// TestLookupBatchStats: batch lookups account hits and misses like the
-// scalar path.
-func TestLookupBatchStats(t *testing.T) {
-	tb := MustNew("stats", 0, 4)
-	p := bitstr.MustNew(0b1000, 1, 4) // covers 8..15
-	if _, err := tb.InsertPrefix(p, 0, "hi"); err != nil {
-		t.Fatal(err)
-	}
-	tb.ResetStats()
-	got := tb.LookupBatch([][]uint64{{9}, {1}, {12}})
-	if got[0] == nil || got[1] != nil || got[2] == nil {
-		t.Fatalf("batch results = %v", got)
-	}
-	s := tb.Stats()
-	if s.Lookups != 3 || s.Hits != 2 || s.Misses != 1 {
-		t.Errorf("stats = %+v, want 3 lookups / 2 hits / 1 miss", s)
-	}
-
-	tb.ResetStats()
-	single := tb.LookupSingleBatch([]uint64{9, 1, 12}, nil)
-	if single[0] == nil || single[1] != nil || single[2] == nil {
-		t.Fatalf("single batch results = %v", single)
-	}
-	s = tb.Stats()
-	if s.Lookups != 3 || s.Hits != 2 || s.Misses != 1 {
-		t.Errorf("single-batch stats = %+v, want 3 lookups / 2 hits / 1 miss", s)
-	}
-
-	// Arity mismatch: every key misses, nothing panics.
-	if out := tb.LookupBatch([][]uint64{{1, 2}}); out[0] != nil {
-		t.Error("wrong-arity batch key must miss")
-	}
-}
-
-// TestLookupSnapshotStableAcrossUpdate: an entry returned by Lookup belongs
+// TestLookupSnapshotStableAcrossUpdate: an entry a lookup returns belongs
 // to an immutable snapshot — a subsequent UpdateData must not mutate it
 // under the caller.
 func TestLookupSnapshotStableAcrossUpdate(t *testing.T) {
@@ -302,7 +285,7 @@ func TestLookupSnapshotStableAcrossUpdate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, ok := tb.Lookup(5)
+	e, ok := lookupOne(tb, 5)
 	if !ok {
 		t.Fatal("miss")
 	}
@@ -312,7 +295,95 @@ func TestLookupSnapshotStableAcrossUpdate(t *testing.T) {
 	if e.Data.(string) != "old" {
 		t.Error("held snapshot entry mutated by UpdateData")
 	}
-	if e2, _ := tb.Lookup(5); e2.Data.(string) != "new" {
+	if e2, _ := lookupOne(tb, 5); e2.Data.(string) != "new" {
 		t.Error("fresh lookup does not see the update")
+	}
+}
+
+// TestCompileFormsSkipTrie pins which compiled form each entry-set shape
+// gets: disjoint tilings compile to range sets (LUT at ≤16 bits, predecessor
+// search above) or the product grid and never build the trie, while nested
+// prefixes and non-product two-field sets still do.
+func TestCompileFormsSkipTrie(t *testing.T) {
+	for _, width := range []int{12, 20} {
+		ix := tileTable(t, width, 6).loadIndex()
+		if ix.rset == nil || ix.root != nil {
+			t.Fatalf("width %d tiling: rset=%v root=%v, want range set and no trie", width, ix.rset != nil, ix.root != nil)
+		}
+		if (ix.rset.lut != nil) != (width <= lutMaxBits) {
+			t.Fatalf("width %d tiling: lut=%v", width, ix.rset.lut != nil)
+		}
+	}
+
+	nested := MustNew("nested", 0, 8)
+	for _, p := range []bitstr.Prefix{bitstr.MustNew(0x80, 1, 8), bitstr.MustNew(0xC0, 2, 8)} {
+		if _, err := nested.InsertPrefix(p, 0, uint64(p.Bits())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if ix := nested.loadIndex(); ix.rset != nil || ix.root == nil {
+		t.Fatalf("nested prefixes: rset=%v root=%v, want trie only", ix.rset != nil, ix.root != nil)
+	}
+
+	grid := MustNew("grid", 0, 4, 4)
+	nonProduct := MustNew("non-product", 0, 4, 4)
+	for i := uint64(0); i < 4; i++ {
+		for j := uint64(0); j < 4; j++ {
+			f := []Field{FieldFromPrefix(bitstr.MustNew(i<<2, 2, 4)), FieldFromPrefix(bitstr.MustNew(j<<2, 2, 4))}
+			if _, err := grid.Insert(f, 0, i*4+j); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// Two rows whose Y prefixes nest: the X tiling is disjoint but the set
+	// is no product of two disjoint tilings.
+	for _, f := range [][]Field{
+		{FieldFromPrefix(bitstr.MustNew(0x0, 1, 4)), FieldFromPrefix(bitstr.MustNew(0x0, 1, 4))},
+		{FieldFromPrefix(bitstr.MustNew(0x8, 1, 4)), FieldFromPrefix(bitstr.MustNew(0x0, 2, 4))},
+	} {
+		if _, err := nonProduct.Insert(f, 0, uint64(1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if ix := grid.loadIndex(); ix.grid == nil || ix.root != nil {
+		t.Fatalf("product set: grid=%v root=%v, want grid and no trie", ix.grid != nil, ix.root != nil)
+	}
+	if ix := nonProduct.loadIndex(); ix.grid != nil || ix.root == nil {
+		t.Fatalf("non-product set: grid=%v root=%v, want trie only", ix.grid != nil, ix.root != nil)
+	}
+}
+
+// TestBuildRangeSetReverseSorted feeds buildRangeSet its spans in
+// descending order — the worst case for an insertion sort — in both the LUT
+// and the predecessor-search forms, and checks every key resolves to its
+// span's slot, gaps included.
+func TestBuildRangeSetReverseSorted(t *testing.T) {
+	for _, width := range []int{10, 24} {
+		const n = 300
+		step := uint64(1) << uint(width) / n
+		spans := make([]span, 0, n)
+		for i := n - 1; i >= 0; i-- {
+			lo := uint64(i) * step
+			spans = append(spans, span{lo: lo, hi: lo + step/2, slot: int32(i)})
+		}
+		rs := buildRangeSet(width, spans)
+		if rs == nil {
+			t.Fatalf("width %d: disjoint spans rejected", width)
+		}
+		for i := uint64(0); i < n; i++ {
+			lo := i * step
+			for _, k := range []uint64{lo, lo + step/4, lo + step/2} {
+				if got := rs.resolve(k); got != int32(i) {
+					t.Fatalf("width %d key %#x: slot %d, want %d", width, k, got, i)
+				}
+			}
+			if got := rs.resolve(lo + step/2 + 1); got != -1 {
+				t.Fatalf("width %d gap key %#x: slot %d, want miss", width, lo+step/2+1, got)
+			}
+		}
+	}
+	overlap := []span{{lo: 8, hi: 15, slot: 1}, {lo: 0, hi: 15, slot: 0}}
+	if buildRangeSet(8, overlap) != nil {
+		t.Fatal("overlapping spans compiled")
 	}
 }

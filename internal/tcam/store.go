@@ -3,24 +3,17 @@ package tcam
 import "fmt"
 
 // Store is the table surface the arithmetic engines and the control plane
-// program against: the lookup fast path plus the transactional mutation,
-// accounting, and fingerprinting contract of a *Table. A Store is either a
-// physical *Table or a tenant slice of one (internal/tenant), which lets
-// several ADA operations share a single calculation TCAM without the layers
-// above knowing.
+// program against: the one data-plane lookup plus the transactional
+// mutation, accounting, and fingerprinting contract of a *Table. A Store is
+// a physical *Table, a *TieredStore, or a tenant slice of a table
+// (internal/tenant), which lets several ADA operations share a single
+// calculation TCAM without the layers above knowing.
 type Store interface {
-	// Lookup resolves one key tuple LPM-style (sig bits desc, priority
-	// desc, insertion seq asc).
-	Lookup(keys ...uint64) (*Entry, bool)
-	// LookupBatch resolves many key tuples; result i is nil on miss.
-	LookupBatch(keys [][]uint64) []*Entry
-	// LookupSingleBatch is the single-field fast path; dst is reused when
-	// large enough.
-	LookupSingleBatch(keys []uint64, dst []*Entry) []*Entry
-	// LookupIndexBatch is the zero-allocation hot path: packed key tuples
-	// resolve to dense snapshot ordinals (−1 = miss) plus a typed payload
-	// view, with dst reused when large enough. See Table.LookupIndexBatch
-	// for the ordinal/payload pairing contract.
+	// LookupIndexBatch is the only data-plane lookup: packed key tuples
+	// resolve LPM-style (sig bits desc, priority desc, insertion seq asc)
+	// to dense snapshot ordinals (−1 = miss) plus a typed payload view,
+	// with dst reused when large enough. A single key is a batch of one.
+	// See Table.LookupIndexBatch for the ordinal/payload pairing contract.
 	LookupIndexBatch(flat []uint64, dst []int32) ([]int32, Payloads)
 
 	// ApplyRowsAtomic reconciles the store contents toward rows with

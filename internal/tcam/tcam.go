@@ -108,30 +108,23 @@ func (e *Entry) SigBits() int { return e.sig }
 // instead of re-serialising every installed entry per round.
 func (e *Entry) MatchKey() string { return e.key }
 
-// Stats counts table operations since creation (or the last ResetStats).
+// Stats counts row writes since creation (or the last ResetStats).
 type Stats struct {
-	Lookups uint64
-	Hits    uint64
-	Misses  uint64
 	Inserts uint64
 	Deletes uint64
 	Updates uint64
 }
 
-// counters is the live, atomically-updated form of Stats. Lookup counters
-// are incremented off-lock so the read path never needs the table mutex.
+// counters is the live, atomically-updated form of Stats.
 type counters struct {
-	lookups atomic.Uint64
-	hits    atomic.Uint64
-	misses  atomic.Uint64
 	inserts atomic.Uint64
 	deletes atomic.Uint64
 	updates atomic.Uint64
 }
 
 // Table is a ternary match table with bounded capacity. It is safe for
-// concurrent use; Lookup and LookupBatch are lock-free against a compiled
-// index snapshot (see index.go) and scale across goroutines.
+// concurrent use; LookupIndexBatch is lock-free against a compiled index
+// snapshot (see index.go) and scales across goroutines.
 type Table struct {
 	mu sync.RWMutex
 
@@ -223,12 +216,9 @@ func (t *Table) FieldWidths() []int {
 
 // Stats returns a snapshot of the operation counters. The counters are
 // atomics, so the snapshot needs no lock; individual counters are read
-// independently (a concurrent lookup may land between two reads).
+// independently.
 func (t *Table) Stats() Stats {
 	return Stats{
-		Lookups: t.stats.lookups.Load(),
-		Hits:    t.stats.hits.Load(),
-		Misses:  t.stats.misses.Load(),
 		Inserts: t.stats.inserts.Load(),
 		Deletes: t.stats.deletes.Load(),
 		Updates: t.stats.updates.Load(),
@@ -237,16 +227,13 @@ func (t *Table) Stats() Stats {
 
 // ResetStats zeroes the operation counters.
 func (t *Table) ResetStats() {
-	t.stats.lookups.Store(0)
-	t.stats.hits.Store(0)
-	t.stats.misses.Store(0)
 	t.stats.inserts.Store(0)
 	t.stats.deletes.Store(0)
 	t.stats.updates.Store(0)
 }
 
 // dirtyLocked records a content mutation; t.mu must be held exclusively.
-// The next Lookup recompiles the index from the committed state.
+// The next lookup recompiles the index from the committed state.
 func (t *Table) dirtyLocked() {
 	t.version.Add(1)
 	t.idxSeq.Add(1)
@@ -281,7 +268,7 @@ func (t *Table) rebuildIndex() *index {
 		return ix
 	}
 	t.mu.RLock()
-	ix := buildIndex(t.idxSeq.Load(), t.fieldWidths, t.ordered)
+	ix := buildIndex(t.idxSeq.Load(), t.fieldWidths, t.ordered, 0)
 	t.mu.RUnlock()
 	t.idx.Store(ix)
 	return ix
@@ -490,127 +477,6 @@ func (t *Table) Clear() {
 	t.dirtyLocked()
 }
 
-// Lookup matches the key fields against the table and returns the winning
-// entry under LPM resolution. The match runs lock-free against the compiled
-// index (O(total key width), not O(entries)); the returned entry is part of
-// an immutable snapshot, so holding it across later table mutations is safe.
-func (t *Table) Lookup(keys ...uint64) (*Entry, bool) {
-	t.stats.lookups.Add(1)
-	if len(keys) != len(t.fieldWidths) {
-		t.stats.misses.Add(1)
-		return nil, false
-	}
-	e := t.loadIndex().lookup(keys)
-	if e == nil {
-		t.stats.misses.Add(1)
-		return nil, false
-	}
-	t.stats.hits.Add(1)
-	return e, true
-}
-
-// LookupBatch resolves many multi-field keys against one compiled snapshot
-// and returns the winners positionally (nil = miss). All results come from
-// the same committed generation — a bulk commit racing with the batch is
-// observed either entirely or not at all.
-func (t *Table) LookupBatch(keys [][]uint64) []*Entry {
-	out := make([]*Entry, len(keys))
-	if len(keys) == 0 {
-		return out
-	}
-	ix := t.loadIndex()
-	var hits uint64
-	for i, ks := range keys {
-		if len(ks) != len(t.fieldWidths) {
-			continue
-		}
-		if e := ix.lookup(ks); e != nil {
-			out[i] = e
-			hits++
-		}
-	}
-	t.stats.lookups.Add(uint64(len(keys)))
-	t.stats.hits.Add(hits)
-	t.stats.misses.Add(uint64(len(keys)) - hits)
-	return out
-}
-
-// LookupSingleBatch is LookupBatch for single-field tables, avoiding the
-// per-key slice allocations of the general form. dst is reused when it has
-// the capacity. On a multi-field table every key misses.
-func (t *Table) LookupSingleBatch(keys []uint64, dst []*Entry) []*Entry {
-	if cap(dst) >= len(keys) {
-		dst = dst[:len(keys)]
-		for i := range dst {
-			dst[i] = nil
-		}
-	} else {
-		dst = make([]*Entry, len(keys))
-	}
-	if len(keys) == 0 {
-		return dst
-	}
-	if len(t.fieldWidths) != 1 {
-		t.stats.lookups.Add(uint64(len(keys)))
-		t.stats.misses.Add(uint64(len(keys)))
-		return dst
-	}
-	ix := t.loadIndex()
-	var hits uint64
-	kbuf := make([]uint64, 1)
-	for i, k := range keys {
-		kbuf[0] = k
-		if e := ix.lookup(kbuf); e != nil {
-			dst[i] = e
-			hits++
-		}
-	}
-	t.stats.lookups.Add(uint64(len(keys)))
-	t.stats.hits.Add(hits)
-	t.stats.misses.Add(uint64(len(keys)) - hits)
-	return dst
-}
-
-// LookupSingleBatchTrie is LookupSingleBatch pinned to the compiled trie
-// walk, bypassing the range-compiled fast path single-field tables usually
-// resolve through. Like LookupAll's linear scan it is a reference path: the
-// differential tests cross-check the range compilation against it, and the
-// data-plane throughput benchmark uses it to replicate the
-// pre-optimisation per-sample cost. Results are bit-identical to
-// LookupSingleBatch.
-func (t *Table) LookupSingleBatchTrie(keys []uint64, dst []*Entry) []*Entry {
-	if cap(dst) >= len(keys) {
-		dst = dst[:len(keys)]
-		for i := range dst {
-			dst[i] = nil
-		}
-	} else {
-		dst = make([]*Entry, len(keys))
-	}
-	if len(keys) == 0 {
-		return dst
-	}
-	if len(t.fieldWidths) != 1 {
-		t.stats.lookups.Add(uint64(len(keys)))
-		t.stats.misses.Add(uint64(len(keys)))
-		return dst
-	}
-	ix := t.loadIndex()
-	var hits uint64
-	kbuf := make([]uint64, 1)
-	for i, k := range keys {
-		kbuf[0] = k
-		if ord := ix.trieLookupOrd(kbuf); ord >= 0 {
-			dst[i] = ix.entries[ord]
-			hits++
-		}
-	}
-	t.stats.lookups.Add(uint64(len(keys)))
-	t.stats.hits.Add(hits)
-	t.stats.misses.Add(uint64(len(keys)) - hits)
-	return dst
-}
-
 // Payloads is the typed action-data view of one compiled snapshot. Ordinals
 // returned by a LookupIndexBatch call index only the Payloads returned by
 // that same call — both come from the same immutable snapshot, so holding
@@ -634,15 +500,7 @@ func (p Payloads) Value(ord int32) (uint64, bool) {
 	if p.typed {
 		return p.vals[ord], true
 	}
-	switch d := p.entries[ord].Data.(type) {
-	case uint64:
-		return d, true
-	case int:
-		if d >= 0 {
-			return uint64(d), true
-		}
-	}
-	return 0, false
+	return intData(p.entries[ord].Data)
 }
 
 // Entry returns the snapshot entry behind an ordinal (nil for a miss
@@ -657,48 +515,31 @@ func (p Payloads) Entry(ord int32) *Entry {
 // Typed reports whether Value resolves through the dense payload array.
 func (p Payloads) Typed() bool { return p.typed }
 
-// LookupIndexBatch is the zero-allocation batch lookup: flat packs
+// LookupIndexBatch is the table's one data-plane lookup: flat packs
 // len(flat)/arity key tuples contiguously ([x0, y0, x1, y1, ...] for a
-// two-field table), and each tuple resolves to the winning entry's dense
-// snapshot ordinal (−1 on a miss) against one compiled snapshot. dst is
-// reused when it has the capacity, so a caller recycling its scratch buffer
-// performs no allocation; the returned Payloads resolves ordinals to action
-// data without per-sample interface assertions. Trailing elements of flat
-// that do not form a whole tuple are ignored.
+// two-field table), and each tuple resolves LPM-style (sig bits desc,
+// priority desc, insertion seq asc) to the winning entry's dense snapshot
+// ordinal (−1 on a miss) against one compiled snapshot, so a bulk commit
+// racing with the batch is observed either entirely or not at all. A single
+// key is a batch of one. dst is reused when it has the capacity, so a
+// caller recycling its scratch buffer performs no allocation; the returned
+// Payloads resolves ordinals to action data without per-sample interface
+// assertions, and to the immutable snapshot entry via Payloads.Entry.
+// Trailing elements of flat that do not form a whole tuple are ignored.
 func (t *Table) LookupIndexBatch(flat []uint64, dst []int32) ([]int32, Payloads) {
-	arity := len(t.fieldWidths)
-	n := len(flat) / arity
-	if cap(dst) >= n {
-		dst = dst[:n]
-	} else {
-		dst = make([]int32, n)
-	}
+	dst = sizeOrds(dst, len(flat)/len(t.fieldWidths))
 	ix := t.loadIndex()
-	var hits uint64
-	if ix.rset != nil && arity == 1 {
-		rs := ix.rset
-		for i, k := range flat[:n] {
-			ord := rs.resolve(k)
-			dst[i] = ord
-			if ord >= 0 {
-				hits++
-			}
-		}
-	} else {
-		for i := 0; i < n; i++ {
-			ord := ix.lookupOrd(flat[i*arity : (i+1)*arity])
-			dst[i] = ord
-			if ord >= 0 {
-				hits++
-			}
-		}
+	ix.resolveBatch(flat, dst)
+	return dst, ix.payloads()
+}
+
+// sizeOrds returns dst resized to n ordinals, reusing its backing array
+// when the capacity allows.
+func sizeOrds(dst []int32, n int) []int32 {
+	if cap(dst) >= n {
+		return dst[:n]
 	}
-	if n > 0 {
-		t.stats.lookups.Add(uint64(n))
-		t.stats.hits.Add(hits)
-		t.stats.misses.Add(uint64(n) - hits)
-	}
-	return dst, Payloads{entries: ix.entries, vals: ix.payload, typed: ix.typed}
+	return make([]int32, n)
 }
 
 // LookupSnapshot implements Snapshotter: the current compiled snapshot's
@@ -709,12 +550,13 @@ func (t *Table) LookupIndexBatch(flat []uint64, dst []int32) ([]int32, Payloads)
 // snapshot.
 func (t *Table) LookupSnapshot() (Payloads, uint64) {
 	ix := t.loadIndex()
-	return Payloads{entries: ix.entries, vals: ix.payload, typed: ix.typed}, ix.version
+	return ix.payloads(), ix.version
 }
 
 // LookupAll returns every matching entry in resolution order. This is the
 // reference linear scan the compiled index is differentially tested against;
-// it deliberately bypasses the index.
+// it deliberately bypasses the index and takes the table lock, so it is no
+// data-plane path.
 func (t *Table) LookupAll(keys ...uint64) []*Entry {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -1033,9 +875,8 @@ func (t *Table) ApplyDelta(upserts, deletes []Row) (writes int, err error) {
 	return writes, nil
 }
 
-// tableSnapshot captures the mutable table state for rollback. Only the
-// mutator counters are captured: lookup counters advance lock-free while a
-// commit is staged, so restoring them would erase concurrent lookups.
+// tableSnapshot captures the mutable table state for rollback, write
+// counters included.
 type tableSnapshot struct {
 	entries map[int]*Entry
 	ordered []*Entry

@@ -6,11 +6,12 @@
 // resolves just as correctly from a dense SRAM interval structure (sram.go)
 // as from ternary cells. A TieredStore therefore keeps the hottest rows in a
 // real *Table of tcamEntries capacity and spills the rest into an sramTier,
-// multiplying the effective entry budget at unchanged TCAM cost. Lookups
-// consult the TCAM tier first and fall through to SRAM on a miss; because
-// ADA populations tile the operand domain disjointly, at most one tier can
-// match any key and the combined resolution is bit-identical to a single
-// Table holding the union (the differential tests pin this).
+// multiplying the effective entry budget at unchanged TCAM cost. Both tiers
+// compile with the same buildIndex (index.go). Lookups consult the TCAM
+// tier first and fall through to SRAM on a miss; because ADA populations
+// tile the operand domain disjointly, at most one tier can match any key
+// and the combined resolution is bit-identical to a single Table holding
+// the union (the differential tests pin this).
 //
 // The mutation surface mirrors Table's contracts exactly: ApplyRowsAtomic
 // and ApplyDelta are all-or-nothing across both tiers (the TCAM tier — the
@@ -56,30 +57,14 @@ type TierMoves struct {
 type RowHeat func(fields []Field, priority int) uint64
 
 // tieredSnap is one immutable combined snapshot: the hot tier's compiled
-// index, the cold tier's compiled index with pre-offset ordinals, and the
-// union entry/payload arrays batch lookups hand out.
+// index, the cold tier's compiled index with ordinals offset past the hot
+// tier's, and the union entry/payload view batch lookups hand out.
 type tieredSnap struct {
-	seq     uint64
-	token   uint64 // monotonic snapshot generation (Snapshotter contract)
-	hot     *index
-	cold    *sramIndex
-	entries []*Entry
-	vals    []uint64
-	typed   bool
-}
-
-func (sn *tieredSnap) lookupOrd(keys []uint64) int32 {
-	if ord := sn.hot.lookupOrd(keys); ord >= 0 {
-		return ord
-	}
-	return sn.cold.lookupOrd(keys)
-}
-
-func (sn *tieredSnap) lookup(keys []uint64) *Entry {
-	if ord := sn.lookupOrd(keys); ord >= 0 {
-		return sn.entries[ord]
-	}
-	return nil
+	seq   uint64
+	token uint64 // monotonic snapshot generation (Snapshotter contract)
+	hot   *index
+	cold  *index
+	pay   Payloads
 }
 
 // TieredStore is a Store backed by a bounded TCAM slice plus an SRAM spill
@@ -213,21 +198,19 @@ func (s *TieredStore) rebuildSnap() *tieredSnap {
 	s.mu.Lock()
 	seq := s.seq.Load()
 	hix := s.hot.loadIndex()
-	cix := s.cold.compile(int32(len(hix.entries)))
+	cix := buildIndex(seq, s.widths, s.cold.rows, int32(len(hix.entries)))
 	s.mu.Unlock()
 
 	entries := make([]*Entry, 0, len(hix.entries)+len(cix.entries))
 	entries = append(entries, hix.entries...)
 	entries = append(entries, cix.entries...)
-	typed := hix.typed && cix.typed
-	var vals []uint64
-	if typed {
-		vals = make([]uint64, 0, len(entries))
-		vals = append(vals, hix.payload...)
-		vals = append(vals, cix.payload...)
+	pay := Payloads{entries: entries, typed: hix.typed && cix.typed}
+	if pay.typed {
+		pay.vals = make([]uint64, 0, len(entries))
+		pay.vals = append(pay.vals, hix.payload...)
+		pay.vals = append(pay.vals, cix.payload...)
 	}
-	sn := &tieredSnap{seq: seq, token: s.snapGen.Add(1), hot: hix, cold: cix,
-		entries: entries, vals: vals, typed: typed}
+	sn := &tieredSnap{seq: seq, token: s.snapGen.Add(1), hot: hix, cold: cix, pay: pay}
 	s.snap.Store(sn)
 	return sn
 }
@@ -238,78 +221,25 @@ func (s *TieredStore) rebuildSnap() *tieredSnap {
 // ordinals never outlive the entry/payload arrays they index.
 func (s *TieredStore) LookupSnapshot() (Payloads, uint64) {
 	sn := s.loadSnap()
-	return Payloads{entries: sn.entries, vals: sn.vals, typed: sn.typed}, sn.token
+	return sn.pay, sn.token
 }
 
-// Lookup resolves one key tuple: the TCAM tier wins, the SRAM tier serves
-// its misses. Lock-free against the combined snapshot.
-func (s *TieredStore) Lookup(keys ...uint64) (*Entry, bool) {
-	if len(keys) != len(s.widths) {
-		return nil, false
-	}
-	if e := s.loadSnap().lookup(keys); e != nil {
-		return e, true
-	}
-	return nil, false
-}
-
-// LookupBatch resolves many key tuples against one combined snapshot;
-// result i is nil on miss.
-func (s *TieredStore) LookupBatch(keys [][]uint64) []*Entry {
-	out := make([]*Entry, len(keys))
-	if len(keys) == 0 {
-		return out
-	}
-	sn := s.loadSnap()
-	for i, ks := range keys {
-		if len(ks) != len(s.widths) {
-			continue
-		}
-		out[i] = sn.lookup(ks)
-	}
-	return out
-}
-
-// LookupSingleBatch is the single-field batch path; dst is reused when large
-// enough. On a multi-field store every key misses.
-func (s *TieredStore) LookupSingleBatch(keys []uint64, dst []*Entry) []*Entry {
-	if cap(dst) >= len(keys) {
-		dst = dst[:len(keys)]
-		for i := range dst {
-			dst[i] = nil
-		}
-	} else {
-		dst = make([]*Entry, len(keys))
-	}
-	if len(keys) == 0 || len(s.widths) != 1 {
-		return dst
-	}
-	sn := s.loadSnap()
-	var kbuf [1]uint64
-	for i, k := range keys {
-		kbuf[0] = k
-		dst[i] = sn.lookup(kbuf[:])
-	}
-	return dst
-}
-
-// LookupIndexBatch is the zero-allocation hot path over the combined
-// snapshot: packed key tuples resolve to dense ordinals spanning both tiers
-// (hot rows first), with the same ordinal/payload pairing contract as
-// Table.LookupIndexBatch.
+// LookupIndexBatch is the store's one data-plane lookup, lock-free against
+// the combined snapshot: packed key tuples resolve to dense ordinals
+// spanning both tiers (hot rows first). The TCAM tier resolves the whole
+// batch and the SRAM tier serves its misses, with the same ordinal/payload
+// pairing contract as Table.LookupIndexBatch.
 func (s *TieredStore) LookupIndexBatch(flat []uint64, dst []int32) ([]int32, Payloads) {
 	arity := len(s.widths)
-	n := len(flat) / arity
-	if cap(dst) >= n {
-		dst = dst[:n]
-	} else {
-		dst = make([]int32, n)
-	}
+	dst = sizeOrds(dst, len(flat)/arity)
 	sn := s.loadSnap()
-	for i := 0; i < n; i++ {
-		dst[i] = sn.lookupOrd(flat[i*arity : (i+1)*arity])
+	sn.hot.resolveBatch(flat, dst)
+	for i, ord := range dst {
+		if ord < 0 {
+			dst[i] = sn.cold.lookupOrd(flat[i*arity : (i+1)*arity])
+		}
 	}
-	return dst, Payloads{entries: sn.entries, vals: sn.vals, typed: sn.typed}
+	return dst, sn.pay
 }
 
 func (s *TieredStore) validateRows(rows []Row) error {

@@ -6,8 +6,8 @@ import (
 	"testing"
 )
 
-// TestTieredConcurrentChurn hammers every tiered lookup surface (and the
-// lazy rebuildSnap behind them) against concurrent full-population
+// TestTieredConcurrentChurn hammers the tiered lookup — full batches and
+// batches of one — (and the lazy rebuildSnap behind it) against concurrent full-population
 // ApplyRowsAtomic churn and heat-driven tier moves. Run under -race this is
 // the tiered store's data-plane/control-plane isolation proof; without it,
 // it still checks every observed snapshot is internally consistent (hits
@@ -56,11 +56,10 @@ func TestTieredConcurrentChurn(t *testing.T) {
 	}()
 	for r := 0; r < 3; r++ {
 		readers.Add(1)
-		go func(seed int64) { // reader: all three batch surfaces + singles
+		go func(seed int64) { // reader: full batches + batches of one
 			defer readers.Done()
 			rng := rand.New(rand.NewSource(seed))
 			keys := make([]uint64, 256)
-			var entDst []*Entry
 			var ordDst []int32
 			for {
 				select {
@@ -71,19 +70,12 @@ func TestTieredConcurrentChurn(t *testing.T) {
 				for i := range keys {
 					keys[i] = rng.Uint64() & (1<<width - 1)
 				}
-				entDst = ts.LookupSingleBatch(keys, entDst)
 				var pay Payloads
 				ordDst, pay = ts.LookupIndexBatch(keys, ordDst)
 				for i, k := range keys {
-					if e, ok := ts.Lookup(k); ok {
+					if e, ok := lookupOne(ts, k); ok {
 						if v, vok := e.Data.(uint64); !vok || v < 1000 {
-							t.Errorf("Lookup(%d): payload %v outside population range", k, e.Data)
-							return
-						}
-					}
-					if entDst[i] != nil {
-						if v, vok := entDst[i].Data.(uint64); !vok || v < 1000 {
-							t.Errorf("LookupSingleBatch(%d): payload %v outside population range", k, entDst[i].Data)
+							t.Errorf("lookupOne(%d): payload %v outside population range", k, e.Data)
 							return
 						}
 					}
@@ -108,5 +100,5 @@ func TestTieredConcurrentChurn(t *testing.T) {
 	if _, err := ref.ApplyRowsAtomic(tilings[(applies-1)%len(tilings)]); err != nil {
 		t.Fatal(err)
 	}
-	assertLookupParity(t, ts, ref, width)
+	assertLookupParity(t, ts, ref, domainKeys(width))
 }

@@ -46,55 +46,38 @@ func mustTiered(t *testing.T, tcamEntries, capacity int, widths ...int) *TieredS
 	return ts
 }
 
-// assertLookupParity checks every key of the width-bit domain resolves
-// identically through the tiered store and the reference table, across all
-// four lookup surfaces.
-func assertLookupParity(t *testing.T, ts *TieredStore, ref *Table, width int) {
+// domainKeys returns every key of a width-bit domain.
+func domainKeys(width int) []uint64 {
+	keys := make([]uint64, 1<<uint(width))
+	for k := range keys {
+		keys[k] = uint64(k)
+	}
+	return keys
+}
+
+// assertLookupParity checks every packed key tuple in flat resolves through
+// the tiered store — as one full batch and as batches of one — to the same
+// winner as the reference scan over a table holding the same population.
+func assertLookupParity(t *testing.T, ts *TieredStore, ref *Table, flat []uint64) {
 	t.Helper()
-	n := uint64(1) << uint(width)
-	keys := make([]uint64, 0, n)
-	for k := uint64(0); k < n; k++ {
-		keys = append(keys, k)
-	}
-	// Single lookups.
-	for _, k := range keys {
-		te, tok := ts.Lookup(k)
-		re, rok := ref.Lookup(k)
-		if tok != rok {
-			t.Fatalf("Lookup(%d): tiered ok=%v, table ok=%v", k, tok, rok)
+	arity := len(ts.FieldWidths())
+	ords, pay := ts.LookupIndexBatch(flat, nil)
+	for i := range ords {
+		keys := flat[i*arity : (i+1)*arity]
+		all := ref.LookupAll(keys...)
+		one, ok := lookupOne(ts, keys...)
+		if ok != (len(all) > 0) || (ords[i] >= 0) != ok {
+			t.Fatalf("keys %v: batch ordinal %d, batch-of-one ok=%v, reference matches %d", keys, ords[i], ok, len(all))
 		}
-		if tok && !dataEqual(te.Data, re.Data) {
-			t.Fatalf("Lookup(%d): tiered %v, table %v", k, te.Data, re.Data)
-		}
-	}
-	// Batch surfaces against one snapshot each.
-	single := ts.LookupSingleBatch(keys, nil)
-	refSingle := ref.LookupSingleBatch(keys, nil)
-	ords, pay := ts.LookupIndexBatch(keys, nil)
-	for i, k := range keys {
-		var want any
-		if refSingle[i] != nil {
-			want = refSingle[i].Data
-		}
-		var got any
-		if single[i] != nil {
-			got = single[i].Data
-		}
-		if !dataEqual(got, want) {
-			t.Fatalf("LookupSingleBatch(%d): tiered %v, table %v", k, got, want)
-		}
-		if want == nil {
-			if ords[i] >= 0 {
-				t.Fatalf("LookupIndexBatch(%d): hit ordinal %d, table missed", k, ords[i])
-			}
+		if !ok {
 			continue
 		}
-		if ords[i] < 0 {
-			t.Fatalf("LookupIndexBatch(%d): miss, table hit %v", k, want)
+		want := all[0].Data
+		if !dataEqual(one.Data, want) {
+			t.Fatalf("keys %v: batch of one %v, reference %v", keys, one.Data, want)
 		}
-		v, ok := pay.Value(ords[i])
-		if !ok || v != want.(uint64) {
-			t.Fatalf("LookupIndexBatch(%d): payload %v/%v, want %v", k, v, ok, want)
+		if v, vok := pay.Value(ords[i]); !vok || v != want.(uint64) {
+			t.Fatalf("keys %v: batch payload %v/%v, reference %v", keys, v, vok, want)
 		}
 	}
 }
@@ -102,45 +85,102 @@ func assertLookupParity(t *testing.T, ts *TieredStore, ref *Table, width int) {
 // TestTieredDifferentialVsTable is the core bit-identity claim: a TieredStore
 // with a tiny TCAM slice resolves every key exactly like a pure Table holding
 // the same logical population, and fingerprints byte-identically, across
-// random populations and incremental churn.
+// random populations and incremental churn. The cases drive the SRAM tier
+// through each compiled form buildIndex picks for one field: the dense LUT
+// (≤16 bits), predecessor search (wider), and the trie (nested rows: the
+// parents of half the leaves are installed too, and lose LPM to them).
 func TestTieredDifferentialVsTable(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	const width = 8
-	for trial := 0; trial < 25; trial++ {
-		ps := randTiling(rng, width, 6)
-		rows := tilingRows(ps)
-		ts := mustTiered(t, 4, 0, width)
-		ref := MustNew("ref", 0, width)
-		if _, err := ts.ApplyRowsAtomic(rows); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := ref.ApplyRowsAtomic(rows); err != nil {
-			t.Fatal(err)
-		}
-		if ts.HotLen() > 4 {
-			t.Fatalf("hot tier overflowed its budget: %d", ts.HotLen())
-		}
-		if ts.Len() != len(rows) {
-			t.Fatalf("Len = %d, want %d", ts.Len(), len(rows))
-		}
-		if ts.Fingerprint() != ref.Fingerprint() {
-			t.Fatal("fingerprint diverged from reference table")
-		}
-		assertLookupParity(t, ts, ref, width)
+	cases := []struct {
+		name     string
+		width    int
+		maxDepth int
+		nested   bool
+		form     func(*index) bool
+	}{
+		{"lut", 8, 6, false, func(ix *index) bool { return ix.rset != nil && ix.rset.lut != nil }},
+		{"predecessor", 20, 9, false, func(ix *index) bool { return ix.rset != nil && ix.rset.lut == nil }},
+		{"trie", 8, 6, true, func(ix *index) bool { return ix.rset == nil && ix.root != nil }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			population := func() []Row {
+				ps := randTiling(rng, tc.width, tc.maxDepth)
+				for len(ps) < 8 { // leaves fill the 4-row TCAM slice first
+					ps = randTiling(rng, tc.width, tc.maxDepth)
+				}
+				rows := tilingRows(ps)
+				if tc.nested {
+					seen := make(map[bitstr.Prefix]bool)
+					for _, p := range ps[:len(ps)/2] {
+						anc, err := p.Parent()
+						if err != nil || anc.Bits() == 0 || seen[anc] {
+							continue
+						}
+						seen[anc] = true
+						// Priority 1 keeps an ancestor's match key distinct
+						// from any leaf's, so sticky placement never keeps
+						// a nested row in the TCAM tier across churn.
+						rows = append(rows, Row{Fields: []Field{FieldFromPrefix(anc)}, Priority: 1, Data: uint64(5000 + len(seen))})
+					}
+				}
+				return rows
+			}
+			probes := func(rows []Row) []uint64 {
+				if tc.width <= 12 {
+					return domainKeys(tc.width)
+				}
+				var keys []uint64
+				for _, r := range rows {
+					lo := r.Fields[0].Value
+					hi := lo | (lowMask(tc.width) &^ r.Fields[0].Mask)
+					keys = append(keys, lo, hi, (lo-1)&lowMask(tc.width), (hi+1)&lowMask(tc.width))
+				}
+				for i := 0; i < 512; i++ {
+					keys = append(keys, rng.Uint64()&lowMask(tc.width))
+				}
+				return keys
+			}
+			for trial := 0; trial < 25; trial++ {
+				rows := population()
+				ts := mustTiered(t, 4, 0, tc.width)
+				ref := MustNew("ref", 0, tc.width)
+				if _, err := ts.ApplyRowsAtomic(rows); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := ref.ApplyRowsAtomic(rows); err != nil {
+					t.Fatal(err)
+				}
+				if ts.HotLen() > 4 {
+					t.Fatalf("hot tier overflowed its budget: %d", ts.HotLen())
+				}
+				if ts.Len() != len(rows) {
+					t.Fatalf("Len = %d, want %d", ts.Len(), len(rows))
+				}
+				if ts.Fingerprint() != ref.Fingerprint() {
+					t.Fatal("fingerprint diverged from reference table")
+				}
+				if !tc.form(ts.loadSnap().cold) {
+					t.Fatalf("SRAM tier did not compile to the %s form", tc.name)
+				}
+				assertLookupParity(t, ts, ref, probes(rows))
 
-		// Churn: replace with a fresh tiling via the full-reconcile path and
-		// re-check (sticky placement must not corrupt resolution).
-		rows2 := tilingRows(randTiling(rng, width, 6))
-		if _, err := ts.ApplyRowsAtomic(rows2); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := ref.ApplyRowsAtomic(rows2); err != nil {
-			t.Fatal(err)
-		}
-		if ts.Fingerprint() != ref.Fingerprint() {
-			t.Fatal("fingerprint diverged after churn")
-		}
-		assertLookupParity(t, ts, ref, width)
+				// Churn: replace with a fresh population via the
+				// full-reconcile path and re-check (sticky placement must
+				// not corrupt resolution).
+				rows2 := population()
+				if _, err := ts.ApplyRowsAtomic(rows2); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := ref.ApplyRowsAtomic(rows2); err != nil {
+					t.Fatal(err)
+				}
+				if ts.Fingerprint() != ref.Fingerprint() {
+					t.Fatal("fingerprint diverged after churn")
+				}
+				assertLookupParity(t, ts, ref, probes(rows2))
+			}
+		})
 	}
 }
 
@@ -177,7 +217,7 @@ func TestTieredDeltaDifferential(t *testing.T) {
 	if ts.Fingerprint() != ref.Fingerprint() {
 		t.Fatal("fingerprint diverged after delta")
 	}
-	assertLookupParity(t, ts, ref, width)
+	assertLookupParity(t, ts, ref, domainKeys(width))
 
 	// Conflict: deleting a row absent from both tiers must refuse and leave
 	// the store exactly as it was (fingerprint and contents unchanged).
@@ -188,7 +228,7 @@ func TestTieredDeltaDifferential(t *testing.T) {
 	if ts.Fingerprint() != before {
 		t.Fatal("failed delta mutated the store")
 	}
-	assertLookupParity(t, ts, ref, width)
+	assertLookupParity(t, ts, ref, domainKeys(width))
 }
 
 // TestTieredDeltaPlacement pins the split rules: deletes consume the TCAM
@@ -315,7 +355,7 @@ func TestTieredRebalance(t *testing.T) {
 	if ts.Fingerprint() != ref.Fingerprint() {
 		t.Fatal("placement changed the logical population")
 	}
-	assertLookupParity(t, ts, ref, width)
+	assertLookupParity(t, ts, ref, domainKeys(width))
 
 	// The hottest rows must now be TCAM-resident: a second pass under the
 	// same heat is converged — zero moves, zero writes.
@@ -372,10 +412,10 @@ func TestTieredTamperAudit(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The data plane serves the corruption immediately.
-	if e, ok := ts.Lookup(0xf); !ok || e.Data.(uint64) != 99 {
+	if e, ok := lookupOne(ts, 0xf); !ok || e.Data.(uint64) != 99 {
 		t.Fatalf("cold tamper not served: %v", e)
 	}
-	if e, ok := ts.Lookup(0x0); !ok || e.Data.(uint64) != 98 {
+	if e, ok := lookupOne(ts, 0x0); !ok || e.Data.(uint64) != 98 {
 		t.Fatalf("hot tamper not served: %v", e)
 	}
 	got, err := ts.AuditFingerprint()
@@ -408,24 +448,24 @@ func TestTieredTamperAudit(t *testing.T) {
 	}
 }
 
-// TestTieredBinaryGridDifferential checks the two-field SRAM grid path and
-// its linear fallback against the reference table.
+// TestTieredBinaryGridDifferential checks the two-field SRAM tier in each
+// compiled form buildIndex picks — the product grid, the trie (an
+// all-wildcard row nesting over the product, or non-product rows), and the
+// linear scan (a non-prefix mask) — against the reference table.
 func TestTieredBinaryGridDifferential(t *testing.T) {
 	const w = 3
-	xs := []bitstr.Prefix{bitstr.MustNew(0, 1, w), bitstr.MustNew(4, 2, w), bitstr.MustNew(6, 2, w)}
-	ys := []bitstr.Prefix{bitstr.MustNew(0, 2, w), bitstr.MustNew(2, 2, w), bitstr.MustNew(4, 1, w)}
+	pf := func(v uint64, bits int) Field { return FieldFromPrefix(bitstr.MustNew(v, bits, w)) }
+	xs := []Field{pf(0, 1), pf(4, 2), pf(6, 2)}
+	ys := []Field{pf(0, 2), pf(2, 2), pf(4, 1)}
 	var rows []Row
 	d := uint64(100)
 	for _, x := range xs {
 		for _, y := range ys {
-			rows = append(rows, Row{
-				Fields: []Field{FieldFromPrefix(x), FieldFromPrefix(y)},
-				Data:   d,
-			})
+			rows = append(rows, Row{Fields: []Field{x, y}, Data: d})
 			d++
 		}
 	}
-	check := func(t *testing.T, rows []Row) {
+	check := func(t *testing.T, rows []Row, form func(*index) bool) {
 		t.Helper()
 		ts := mustTiered(t, 2, 0, w, w)
 		ref := MustNew("ref", 0, w, w)
@@ -434,46 +474,47 @@ func TestTieredBinaryGridDifferential(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+		if !form(ts.loadSnap().cold) {
+			t.Fatal("SRAM tier compiled to an unexpected form")
+		}
 		flat := make([]uint64, 0, 2*64)
 		for x := uint64(0); x < 8; x++ {
 			for y := uint64(0); y < 8; y++ {
-				te, tok := ts.Lookup(x, y)
-				re, rok := ref.Lookup(x, y)
-				if tok != rok || (tok && !dataEqual(te.Data, re.Data)) {
-					t.Fatalf("Lookup(%d,%d) diverged", x, y)
-				}
 				flat = append(flat, x, y)
 			}
 		}
-		ords, pay := ts.LookupIndexBatch(flat, nil)
-		for i := 0; i < len(flat); i += 2 {
-			re, rok := ref.Lookup(flat[i], flat[i+1])
-			ord := ords[i/2]
-			if !rok {
-				if ord >= 0 {
-					t.Fatalf("ordinal hit where table missed: (%d,%d)", flat[i], flat[i+1])
-				}
-				continue
-			}
-			v, ok := pay.Value(ord)
-			if !ok || v != re.Data.(uint64) {
-				t.Fatalf("ordinal payload (%d,%d) = %v/%v, want %v", flat[i], flat[i+1], v, ok, re.Data)
-			}
-		}
+		assertLookupParity(t, ts, ref, flat)
 	}
-	t.Run("grid", func(t *testing.T) { check(t, rows) })
-	t.Run("linear-fallback", func(t *testing.T) {
+	t.Run("grid", func(t *testing.T) {
+		check(t, rows, func(ix *index) bool { return ix.grid != nil && ix.root == nil })
+	})
+	t.Run("trie", func(t *testing.T) {
 		// An extra all-wildcard row overlaps every x interval, defeating the
-		// disjointness precondition — the SRAM tier must fall back to the
-		// first-match scan and still agree with the table.
-		rootX, _ := bitstr.Root(w)
-		rootY, _ := bitstr.Root(w)
-		overlap := Row{
-			Fields:   []Field{FieldFromPrefix(rootX), FieldFromPrefix(rootY)},
-			Priority: -1,
-			Data:     uint64(9999),
+		// disjointness precondition of the grid.
+		overlap := Row{Fields: []Field{pf(0, 0), pf(0, 0)}, Priority: -1, Data: uint64(9999)}
+		check(t, append(append([]Row{}, rows...), overlap), func(ix *index) bool { return ix.grid == nil && ix.root != nil })
+	})
+	t.Run("non-product", func(t *testing.T) {
+		// Disjoint 2-D tiles whose y splits differ per x: the y prefixes
+		// nest across x, so no grid compiles.
+		np := []Row{
+			{Fields: []Field{pf(0, 1), pf(0, 2)}, Data: uint64(1)},
+			{Fields: []Field{pf(0, 1), pf(2, 2)}, Data: uint64(2)},
+			{Fields: []Field{pf(0, 1), pf(4, 1)}, Data: uint64(3)},
+			{Fields: []Field{pf(4, 1), pf(0, 1)}, Data: uint64(4)},
+			{Fields: []Field{pf(4, 1), pf(4, 2)}, Data: uint64(5)},
+			{Fields: []Field{pf(4, 1), pf(6, 2)}, Data: uint64(6)},
 		}
-		check(t, append(append([]Row{}, rows...), overlap))
+		check(t, np, func(ix *index) bool { return ix.grid == nil && ix.root != nil })
+	})
+	t.Run("linear-fallback", func(t *testing.T) {
+		// Leave a hole in the product and add a non-prefix row (odd x, any
+		// y) that serves it: the SRAM tier must scan in resolution order
+		// and still agree with the table.
+		holed := append([]Row{}, rows[:2]...)
+		holed = append(holed, rows[3:]...)
+		odd := Row{Fields: []Field{{Value: 1, Mask: 1}, pf(0, 0)}, Priority: -1, Data: uint64(9999)}
+		check(t, append(holed, odd), func(ix *index) bool { return ix.rset == nil && ix.grid == nil && ix.root == nil })
 	})
 }
 

@@ -8,9 +8,9 @@ import (
 	"github.com/ada-repro/ada/internal/bitstr"
 )
 
-// checkIndexBatch resolves every tuple through LookupIndexBatch and the
-// entry-based Lookup and fails on any divergence in hit/miss, winner, or
-// typed payload.
+// checkIndexBatch resolves every tuple through LookupIndexBatch and fails on
+// any divergence from the reference scan, LookupAll, in hit/miss, winner,
+// or typed payload.
 func checkIndexBatch(t *testing.T, tb *Table, flat []uint64, arity int) {
 	t.Helper()
 	ords, pay := tb.LookupIndexBatch(flat, nil)
@@ -20,7 +20,8 @@ func checkIndexBatch(t *testing.T, tb *Table, flat []uint64, arity int) {
 	}
 	for i := 0; i < n; i++ {
 		keys := flat[i*arity : (i+1)*arity]
-		want, ok := tb.Lookup(keys...)
+		all := tb.LookupAll(keys...)
+		ok := len(all) > 0
 		if (ords[i] >= 0) != ok {
 			t.Fatalf("tuple %v: ordinal %d, reference ok=%v", keys, ords[i], ok)
 		}
@@ -30,6 +31,7 @@ func checkIndexBatch(t *testing.T, tb *Table, flat []uint64, arity int) {
 			}
 			continue
 		}
+		want := all[0]
 		got := pay.Entry(ords[i])
 		if got == nil || got.ID != want.ID {
 			t.Fatalf("tuple %v: typed winner %v, reference winner %d", keys, got, want.ID)
@@ -49,9 +51,9 @@ func checkIndexBatch(t *testing.T, tb *Table, flat []uint64, arity int) {
 }
 
 // TestLookupIndexBatchDifferentialFuzz proves the ordinal path bit-identical
-// to the entry path across random one- and two-field tables — overlapping
-// and disjoint prefixes, narrow (dense-LUT) and wide (range-searched)
-// fields alike.
+// to the reference scan across random one- and two-field tables —
+// overlapping and disjoint prefixes, narrow (dense-LUT) and wide
+// (range-searched) fields alike.
 func TestLookupIndexBatchDifferentialFuzz(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	for trial := 0; trial < 40; trial++ {
@@ -117,7 +119,7 @@ func TestLookupIndexBatchProductGrid(t *testing.T) {
 	// The hole must miss on both paths.
 	hx := uint64(2) << uint(wx-dx)
 	hy := uint64(1) << uint(wy-dy)
-	if _, ok := tb.Lookup(hx, hy); ok {
+	if _, ok := lookupOne(tb, hx, hy); ok {
 		t.Fatal("grid hole resolved an entry")
 	}
 	ords, _ := tb.LookupIndexBatch([]uint64{hx, hy}, nil)
@@ -144,7 +146,7 @@ func TestGridRejectsNestedPrefixes(t *testing.T) {
 		t.Fatal("nested X prefixes compiled to a grid")
 	}
 	for key := uint64(0); key < 256; key++ {
-		got, ok := tb.Lookup(key, 0x01)
+		got, ok := lookupOne(tb, key, 0x01)
 		all := tb.LookupAll(key, 0x01)
 		if (len(all) > 0) != ok {
 			t.Fatalf("key %#x: ok=%v, reference %d", key, ok, len(all))
@@ -189,8 +191,8 @@ func TestLookupIndexBatchUntypedData(t *testing.T) {
 }
 
 // TestLookupHighBitsIgnored pins the masking contract: key bits above the
-// field width are ignored identically by the reference scan, the trie, the
-// dense LUT, and the wide-field range search.
+// field width are ignored identically by the reference scan, the dense LUT,
+// and the wide-field range search.
 func TestLookupHighBitsIgnored(t *testing.T) {
 	for _, width := range []int{8, 20} { // LUT form and range form
 		tb := tileTable(t, width, 3)
@@ -198,21 +200,19 @@ func TestLookupHighBitsIgnored(t *testing.T) {
 			low := uint64(probe) << uint(width-6)
 			key := low | (uint64(probe+1) << uint(width)) // garbage above width
 			want := tb.LookupAll(key)
-			got, ok := tb.Lookup(key)
-			if !ok || len(want) == 0 || got.ID != want[0].ID {
-				t.Fatalf("width %d key %#x: Lookup=(%v,%v), reference %d", width, key, got, ok, len(want))
+			if len(want) == 0 {
+				t.Fatalf("width %d key %#x: reference scan missed a full cover", width, key)
 			}
-			ords, pay := tb.LookupIndexBatch([]uint64{key}, nil)
-			if e := pay.Entry(ords[0]); e == nil || e.ID != want[0].ID {
-				t.Fatalf("width %d key %#x: ordinal path %v, reference winner %d", width, key, e, want[0].ID)
+			if got, ok := lookupOne(tb, key); !ok || got.ID != want[0].ID {
+				t.Fatalf("width %d key %#x: ordinal path (%v,%v), reference winner %d", width, key, got, ok, want[0].ID)
 			}
 		}
 	}
 }
 
-// TestLookupSingleBatchTrieMatchesFast cross-checks the reference trie walk
-// against the fast single-field path on a table that compiles to the LUT.
-func TestLookupSingleBatchTrieMatchesFast(t *testing.T) {
+// TestLookupIndexBatchLUTMatchesReference cross-checks the dense-LUT form
+// against the reference scan on a table that compiles to it.
+func TestLookupIndexBatchLUTMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(46))
 	tb := tileTable(t, 12, 5)
 	if ix := tb.loadIndex(); ix.rset == nil || ix.rset.lut == nil {
@@ -222,16 +222,7 @@ func TestLookupSingleBatchTrieMatchesFast(t *testing.T) {
 	for i := range keys {
 		keys[i] = rng.Uint64() & lowMask(12)
 	}
-	fast := tb.LookupSingleBatch(keys, nil)
-	ref := tb.LookupSingleBatchTrie(keys, nil)
-	for i := range keys {
-		if (fast[i] == nil) != (ref[i] == nil) {
-			t.Fatalf("key %#x: fast=%v trie=%v", keys[i], fast[i], ref[i])
-		}
-		if fast[i] != nil && fast[i].ID != ref[i].ID {
-			t.Fatalf("key %#x: fast winner %d, trie winner %d", keys[i], fast[i].ID, ref[i].ID)
-		}
-	}
+	checkIndexBatch(t, tb, keys, 1)
 }
 
 // TestRangeSetRejectsOverlapSingleField: nested single-field prefixes must

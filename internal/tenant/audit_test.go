@@ -90,14 +90,14 @@ func TestSliceAuditNeverCrossesBands(t *testing.T) {
 	if got, _ := a.AuditFingerprint(); got != a.Fingerprint() {
 		t.Error("A not healed: audit and shadow fingerprints still diverge")
 	}
-	if e, ok := a.Lookup(1); !ok || e.Data != uint64(10) {
-		t.Errorf("a.Lookup(1) = %v after repair, want 10", e)
+	if e, ok := lookupOne(a, 1); !ok || e.Data != uint64(10) {
+		t.Errorf("lookupOne(a, 1) = %v after repair, want 10", e)
 	}
 	if got, _ := b.AuditFingerprint(); got != bClean {
 		t.Fatalf("repairing A changed B:\n%s\nwant\n%s", got, bClean)
 	}
-	if e, ok := b.Lookup(1); !ok || e.Data != uint64(100) {
-		t.Errorf("b.Lookup(1) = %v after A repair, want 100", e)
+	if e, ok := lookupOne(b, 1); !ok || e.Data != uint64(100) {
+		t.Errorf("lookupOne(b, 1) = %v after A repair, want 100", e)
 	}
 	if p.Table().Len() != physBefore {
 		t.Errorf("physical table len %d, want %d", p.Table().Len(), physBefore)

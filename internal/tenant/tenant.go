@@ -486,63 +486,18 @@ func (s *Slice) physRow(fields []tcam.Field, priority int, data any) (tcam.Row, 
 	return tcam.Row{Fields: pf, Priority: s.bandLo + priority, Data: data}, nil
 }
 
-// physKeys translates lookup keys, padding unused physical fields with 0
-// (matched by their wildcard fields).
-func (s *Slice) physKeys(keys []uint64) []uint64 {
-	pk := make([]uint64, 1+len(s.p.cfg.OperandWidths))
-	pk[0] = s.id
-	copy(pk[1:], keys)
-	return pk
-}
-
-// Lookup resolves one tenant-local key tuple. The fully-specified tenant-ID
-// field restricts resolution to this slice's rows; within them, LPM order is
-// identical to a private table (the ID field adds a constant to every sig
-// count, the band a constant to every priority).
-func (s *Slice) Lookup(keys ...uint64) (*tcam.Entry, bool) {
-	return s.p.phys.Lookup(s.physKeys(keys)...)
-}
-
-// LookupBatch resolves many tenant-local key tuples against one compiled
-// snapshot of the shared table.
-func (s *Slice) LookupBatch(keys [][]uint64) []*tcam.Entry {
-	pk := make([][]uint64, len(keys))
-	for i, k := range keys {
-		pk[i] = s.physKeys(k)
-	}
-	return s.p.phys.LookupBatch(pk)
-}
-
-// LookupSingleBatch is the single-operand batch path. The shared table has
-// more than one field, so it expands to the generic batch lookup.
-func (s *Slice) LookupSingleBatch(keys []uint64, dst []*tcam.Entry) []*tcam.Entry {
-	pk := make([][]uint64, len(keys))
-	buf := make([]uint64, len(keys)*(1+len(s.p.cfg.OperandWidths)))
-	stride := 1 + len(s.p.cfg.OperandWidths)
-	for i, k := range keys {
-		row := buf[i*stride : i*stride+stride : i*stride+stride]
-		row[0] = s.id
-		row[1] = k
-		pk[i] = row
-	}
-	out := s.p.phys.LookupBatch(pk)
-	if cap(dst) >= len(out) {
-		dst = dst[:len(out)]
-		copy(dst, out)
-		return dst
-	}
-	return out
-}
-
 // physFlatPool recycles the translated key buffers LookupIndexBatch packs,
 // so a tenant-mounted engine's steady-state batches stay allocation-free.
 var physFlatPool = sync.Pool{New: func() any { return new([]uint64) }}
 
-// LookupIndexBatch translates the tenant-local packed tuples to the physical
-// layout (tenant-ID first, unused operand fields zeroed against their
-// wildcards) and resolves them against one compiled snapshot of the shared
-// table. The returned ordinals and payloads are the physical table's; within
-// this slice's rows resolution is identical to a private table's.
+// LookupIndexBatch is the slice's one data-plane lookup: it translates the
+// tenant-local packed tuples to the physical layout (tenant-ID first, unused
+// operand fields zeroed against their wildcards) and resolves them against
+// one compiled snapshot of the shared table. The fully-specified tenant-ID
+// field restricts resolution to this slice's rows; within them, LPM order is
+// identical to a private table's (the ID field adds a constant to every sig
+// count, the band a constant to every priority). The returned ordinals and
+// payloads are the physical table's.
 func (s *Slice) LookupIndexBatch(flat []uint64, dst []int32) ([]int32, tcam.Payloads) {
 	arity := len(s.widths)
 	n := len(flat) / arity

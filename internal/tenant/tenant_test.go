@@ -21,6 +21,17 @@ func mustPartition(t *testing.T, total int, widths ...int) *Partition {
 	return p
 }
 
+// lookupOne resolves one tenant-local key tuple as a batch of one through
+// the slice's LookupIndexBatch and returns the winning snapshot entry.
+func lookupOne(s *Slice, keys ...uint64) (*tcam.Entry, bool) {
+	ords, pay := s.LookupIndexBatch(keys, nil)
+	if len(ords) != 1 {
+		return nil, false
+	}
+	e := pay.Entry(ords[0])
+	return e, e != nil
+}
+
 func row(v uint64, data any) tcam.Row {
 	return tcam.Row{Fields: []tcam.Field{{Value: v, Mask: 0xff}}, Data: data}
 }
@@ -42,17 +53,17 @@ func TestSliceIsolation(t *testing.T) {
 		t.Fatalf("b commit: %v", err)
 	}
 	// Same key, different tenants, different results.
-	ea, ok := a.Lookup(7)
+	ea, ok := lookupOne(a, 7)
 	if !ok || ea.Data != "from-a" {
-		t.Fatalf("a.Lookup(7) = %v, %v", ea, ok)
+		t.Fatalf("lookupOne(a, 7) = %v, %v", ea, ok)
 	}
-	eb, ok := b.Lookup(7)
+	eb, ok := lookupOne(b, 7)
 	if !ok || eb.Data != "from-b" {
-		t.Fatalf("b.Lookup(7) = %v, %v", eb, ok)
+		t.Fatalf("lookupOne(b, 7) = %v, %v", eb, ok)
 	}
 	// A miss in one slice never leaks into the other's rows.
-	if _, ok := b.Lookup(9); ok {
-		t.Fatal("b.Lookup(9) hit; want miss")
+	if _, ok := lookupOne(b, 9); ok {
+		t.Fatal("lookupOne(b, 9) hit; want miss")
 	}
 	if err := p.Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
@@ -74,12 +85,12 @@ func TestSliceUnusedOperandFieldsWildcarded(t *testing.T) {
 	if _, err := s.ApplyRowsAtomic([]tcam.Row{row(3, uint64(9))}); err != nil {
 		t.Fatalf("commit: %v", err)
 	}
-	if e, ok := s.Lookup(3); !ok || e.Data != uint64(9) {
-		t.Fatalf("Lookup(3) = %v, %v", e, ok)
+	if e, ok := lookupOne(s, 3); !ok || e.Data != uint64(9) {
+		t.Fatalf("lookup(3) = %v, %v", e, ok)
 	}
-	res := s.LookupSingleBatch([]uint64{3, 4}, nil)
-	if res[0] == nil || res[0].Data != uint64(9) || res[1] != nil {
-		t.Fatalf("LookupSingleBatch = %v", res)
+	ords, pay := s.LookupIndexBatch([]uint64{3, 4}, nil)
+	if v, ok := pay.Value(ords[0]); !ok || v != 9 || ords[1] >= 0 {
+		t.Fatalf("LookupIndexBatch = %v (value %d, %v)", ords, v, ok)
 	}
 }
 
@@ -415,15 +426,15 @@ func TestBinarySlice(t *testing.T) {
 	if _, err := s.ApplyRowsAtomic([]tcam.Row{r}); err != nil {
 		t.Fatal(err)
 	}
-	if e, ok := s.Lookup(3, 4); !ok || e.Data != uint64(12) {
-		t.Fatalf("Lookup(3,4) = %v, %v", e, ok)
+	if e, ok := lookupOne(s, 3, 4); !ok || e.Data != uint64(12) {
+		t.Fatalf("lookup(3,4) = %v, %v", e, ok)
 	}
-	if _, ok := s.Lookup(4, 3); ok {
-		t.Fatal("Lookup(4,3) hit")
+	if _, ok := lookupOne(s, 4, 3); ok {
+		t.Fatal("lookup(4,3) hit")
 	}
-	res := s.LookupBatch([][]uint64{{3, 4}, {0, 0}})
-	if res[0] == nil || res[1] != nil {
-		t.Fatalf("LookupBatch = %v", res)
+	ords, pay := s.LookupIndexBatch([]uint64{3, 4, 0, 0}, nil)
+	if pay.Entry(ords[0]) == nil || ords[1] >= 0 {
+		t.Fatalf("LookupIndexBatch = %v", ords)
 	}
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
