@@ -195,9 +195,10 @@ func (t *unaryTargetForBench) Populate(tr *trie.Trie, budget int) (int, int, err
 	return writes, len(entries), err
 }
 
-// BenchmarkAblationWritePolicy compares delta reconciliation (ApplyRows)
-// against full table rewrites (ReplaceAll) across adaptation rounds — the
-// reason Table II's write counts stay low.
+// BenchmarkAblationWritePolicy compares delta reconciliation
+// (ApplyRowsAtomic) against full table rewrites — every installed row
+// deleted, every new row inserted — across adaptation rounds: the reason
+// Table II's write counts stay low.
 func BenchmarkAblationWritePolicy(b *testing.B) {
 	const width, budget = 16, 64
 	sampler := dist.NewIntSampler(
@@ -210,7 +211,6 @@ func BenchmarkAblationWritePolicy(b *testing.B) {
 			b.Fatal(err)
 		}
 		delta := tcam.MustNew("delta", 0, width)
-		full := tcam.MustNew("full", 0, width)
 		var dw, fw int
 		for r := 0; r < 20; r++ {
 			tr.ResetHits()
@@ -225,16 +225,12 @@ func BenchmarkAblationWritePolicy(b *testing.B) {
 			for k, e := range entries {
 				rows[k] = tcam.RowFromPrefix(e.P, e.Result)
 			}
-			w1, err := delta.ApplyRows(rows)
+			fw += delta.Len() + len(rows)
+			w, err := delta.ApplyRowsAtomic(rows)
 			if err != nil {
 				b.Fatal(err)
 			}
-			w2, err := full.ReplaceAll(rows)
-			if err != nil {
-				b.Fatal(err)
-			}
-			dw += w1
-			fw += w2
+			dw += w
 		}
 		deltaWrites, fullWrites = float64(dw)/20, float64(fw)/20
 	}

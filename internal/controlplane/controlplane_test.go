@@ -225,8 +225,8 @@ func TestCostModelCalibration(t *testing.T) {
 	// entries costs ~256 TCAM writes plus monitoring writes, reads, and
 	// compute.
 	cm := DefaultCostModel()
-	// A 128-budget round in practice writes ~216 TCAM rows (ReplaceAll of
-	// ~108 installed entries) and computes ~108 entries.
+	// A 128-budget round in practice writes ~216 TCAM rows (a full rewrite
+	// of ~108 installed entries) and computes ~108 entries.
 	delay := cm.RoundCost(12, 12, 216, 108, 0)
 	lo, hi := 2900*time.Microsecond, 3500*time.Microsecond
 	if delay < lo || delay > hi {

@@ -13,10 +13,11 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"github.com/ada-repro/ada/internal/arith"
@@ -238,176 +239,298 @@ type SyncReport struct {
 	Health controlplane.Health
 }
 
-// unaryTarget adapts the calculation engine to the controller. It carries
-// the Algorithm 3 memo and a shadow record of the installed population
-// (prefix → result at a trie change-sequence), which together make
-// PopulateDelta's work proportional to churn instead of budget.
-type unaryTarget struct {
-	engine *arith.UnaryEngine
-	op     arith.UnaryOp
-	rep    population.Representative
-
-	memo population.UnaryMemo
-	// installed mirrors what the calculation table holds: the Results map of
-	// the population build that was last committed, and the trie ChangeSeq it
-	// was built at. lastVersion pins the table version that build produced —
-	// any other writer (or a rollback) bumps it and forces a full reload.
-	installed     map[bitstr.Prefix]uint64
-	installedSeq  uint64
-	haveInstalled bool
-	lastVersion   uint64
+// add folds one controller round into the report. A binary system folds
+// both variables' rounds: counts and delays sum, flags OR, the first
+// degraded round's reason wins, and Health is the worse of the two.
+func (r *SyncReport) add(rep controlplane.RoundReport) {
+	r.Delay += rep.Delay
+	r.Reads += rep.Reads
+	r.Writes += rep.RegisterWrites + rep.TCAMWrites
+	r.TCAMWrites += rep.TCAMWrites
+	r.Rebalances += rep.Rebalances
+	r.Computed += rep.Computed
+	r.Reused += rep.Reused
+	r.Expanded = r.Expanded || rep.Expanded
+	r.Degraded = r.Degraded || rep.Degraded
+	if r.DegradedReason == controlplane.ReasonNone {
+		r.DegradedReason = rep.DegradedReason
+	}
+	r.Retries += rep.Retries
+	r.DriverErrors += rep.DriverErrors
+	r.AuditRan = r.AuditRan || rep.AuditRan
+	r.Audit.Add(rep.Audit)
+	r.TierPlaced = r.TierPlaced || rep.TierPlaced
+	r.TierPlaceFailed = r.TierPlaceFailed || rep.TierPlaceFailed
+	r.TierPromotions += rep.TierPromotions
+	r.TierDemotions += rep.TierDemotions
+	r.SRAMWrites += rep.SRAMWrites
+	if rep.Health == controlplane.Unhealthy {
+		r.Health = controlplane.Unhealthy
+	}
 }
 
+// shadow is a calculation target's record of the population it last
+// committed: each installed key's result, the trie change-sequences the
+// build was made at, and the store version the commit left behind. It turns
+// the next Algorithm 3 build into a commit proportional to churn, and tells
+// a read-back audit which rows the table must hold. E is the population's
+// entry type and K its match key: a prefix for a unary table, an (x, y)
+// prefix pair for the joint one.
+type shadow[E any, K comparable] struct {
+	store tcam.Store
+	key   func(E) (K, uint64) // an entry's match key and result
+	row   func(k K, data any) tcam.Row
+	cmp   func(a, b K) int // deterministic row order
+
+	installed map[K]uint64
+	seq       [2]uint64
+	have      bool
+	version   uint64
+}
+
+// reload installs entries as one transactional full reload and records them.
+// Recording on the full path too lets audits check rows from the very first
+// install.
+func (s *shadow[E, K]) reload(entries []E, results map[K]uint64, seq [2]uint64) (int, error) {
+	rows := make([]tcam.Row, len(entries))
+	for i, e := range entries {
+		rows[i] = s.row(s.key(e))
+	}
+	writes, err := s.store.ApplyRowsAtomic(rows)
+	if err != nil {
+		return writes, err
+	}
+	s.record(results, seq)
+	return writes, nil
+}
+
+// commit installs a build with the fewest writes the record allows: a full
+// reload when the record cannot be trusted (nothing recorded yet, or another
+// writer or a rollback moved the store's version), nothing when the
+// installed build was made at the same trie state (a converged round), and
+// otherwise the changed and stale rows as one transactional delta.
+func (s *shadow[E, K]) commit(entries []E, results map[K]uint64, seq [2]uint64) (int, error) {
+	if !s.have || s.store.Version() != s.version {
+		return s.reload(entries, results, seq)
+	}
+	if s.seq == seq {
+		return 0, nil
+	}
+	var upserts []tcam.Row
+	for _, e := range entries {
+		k, r := s.key(e)
+		if old, ok := s.installed[k]; !ok || old != r {
+			upserts = append(upserts, s.row(k, r))
+		}
+	}
+	var stale []K
+	for k := range s.installed {
+		if _, ok := results[k]; !ok {
+			stale = append(stale, k)
+		}
+	}
+	slices.SortFunc(stale, s.cmp)
+	deletes := make([]tcam.Row, len(stale))
+	for i, k := range stale {
+		deletes[i] = s.row(k, nil)
+	}
+	writes, err := s.store.ApplyDelta(upserts, deletes)
+	if errors.Is(err, tcam.ErrDeltaConflict) {
+		// The record diverged from the table (the version guard should
+		// prevent it; defensive): resync with a full reload.
+		return s.reload(entries, results, seq)
+	}
+	if err != nil {
+		// The table rolled back and bumped its version, so the next commit
+		// takes the full reload; the record still describes the table.
+		return writes, err
+	}
+	s.record(results, seq)
+	return writes, nil
+}
+
+// record pins the shadow to the build just committed. Aliasing results is
+// safe: the memos rebuild the map on every recompute instead of mutating it.
+func (s *shadow[E, K]) record(results map[K]uint64, seq [2]uint64) {
+	s.installed = results
+	s.seq = seq
+	s.have = true
+	s.version = s.store.Version()
+}
+
+// AuditCalc implements controlplane.AuditableTarget for the targets that
+// embed the shadow: read the table back, classify divergence from the
+// record (corrupted / ghost / missing rows), and — when repair is set — heal
+// it with the store's minimal anti-entropy delta instead of a repopulation.
+// Before the first install it audits trivially clean.
+func (s *shadow[E, K]) AuditCalc(repair bool) (controlplane.AuditReport, error) {
+	if !s.have {
+		return controlplane.AuditReport{}, nil
+	}
+	keys := make([]K, 0, len(s.installed))
+	for k := range s.installed {
+		keys = append(keys, k)
+	}
+	slices.SortFunc(keys, s.cmp)
+	rows := make([]tcam.Row, len(keys))
+	for i, k := range keys {
+		rows[i] = s.row(k, s.installed[k])
+	}
+	rep, err := controlplane.AuditStore(s.store, rows, repair)
+	if err != nil {
+		return rep, err
+	}
+	if rep.Repaired {
+		// The repair commit bumped the store version; re-pin it so the next
+		// delta round trusts the (now restored) record instead of reloading.
+		s.version = s.store.Version()
+	}
+	return rep, nil
+}
+
+// unaryTarget adapts a unary calculation store to the controller: the
+// Algorithm 3 memo plus the shadow record make PopulateDelta's work
+// proportional to churn instead of budget.
+type unaryTarget struct {
+	shadow[population.UnaryEntry, bitstr.Prefix]
+	op   arith.UnaryOp
+	rep  population.Representative
+	memo population.UnaryMemo
+}
+
+func newUnaryTarget(engine *arith.UnaryEngine, op arith.UnaryOp, rep population.Representative) *unaryTarget {
+	return &unaryTarget{
+		shadow: shadow[population.UnaryEntry, bitstr.Prefix]{
+			store: engine.Store(),
+			key:   func(e population.UnaryEntry) (bitstr.Prefix, uint64) { return e.P, e.Result },
+			row:   tcam.RowFromPrefix,
+			cmp:   bitstr.Prefix.Compare,
+		},
+		op: op, rep: rep,
+	}
+}
+
+// Populate implements controlplane.Target: Algorithm 3 from scratch and a
+// full transactional reload.
 func (t *unaryTarget) Populate(tr *trie.Trie, budget int) (int, int, error) {
-	entries, err := population.ADAUnary(tr, t.op.Func(), budget, t.rep)
+	res, err := population.ADAUnaryMemo(tr, t.op.Func(), budget, t.rep, nil)
 	if err != nil {
 		return 0, 0, err
 	}
-	writes, err := t.engine.Reload(entries)
-	if err != nil {
-		return writes, len(entries), err
-	}
-	// Record the committed population even on the full path, so read-back
-	// audits know the expected rows from the very first install.
-	m := make(map[bitstr.Prefix]uint64, len(entries))
-	for _, e := range entries {
-		m[e.P] = e.Result
-	}
-	t.installed = m
-	t.installedSeq = tr.ChangeSeq()
-	t.haveInstalled = true
-	t.lastVersion = t.engine.Store().Version()
-	return writes, len(entries), nil
+	writes, err := t.reload(res.Entries, res.Results, [2]uint64{res.Seq})
+	return writes, res.Computed, err
 }
 
 // PopulateDelta implements controlplane.DeltaTarget: memoized Algorithm 3
-// followed by a delta commit against the installed population. Falls back to
-// a full transactional reload whenever the shadow record cannot be trusted
-// (first build, external table writes, a prior rollback).
+// followed by a delta commit against the installed population.
 func (t *unaryTarget) PopulateDelta(tr *trie.Trie, budget int) (int, int, int, error) {
 	res, err := population.ADAUnaryMemo(tr, t.op.Func(), budget, t.rep, &t.memo)
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	if !t.haveInstalled || t.engine.Store().Version() != t.lastVersion {
-		writes, err := t.engine.Reload(res.Entries)
-		if err != nil {
-			return 0, res.Computed, res.Reused, err
-		}
-		t.record(res)
-		return writes, res.Computed, res.Reused, nil
+	writes, err := t.commit(res.Entries, res.Results, [2]uint64{res.Seq})
+	return writes, res.Computed, res.Reused, err
+}
+
+// PlaceTiers implements controlplane.TierPlacer from the trie's hit
+// registers (see placeTiers).
+func (t *unaryTarget) PlaceTiers(tr *trie.Trie) (controlplane.TierMoves, bool, error) {
+	return placeTiers(t.store, tr)
+}
+
+// jointTarget is a binary system's joint calculation table (Table II's
+// ADA(ΔT, R)) as the y controller's target: each y round builds the joint
+// population from y's shadow trie and x's committed trie, so the table is
+// populated, audited, tier-placed and retried through y's driver like any
+// calculation table. x's controller has no target.
+type jointTarget struct {
+	shadow[population.BinaryEntry, population.BinaryPair]
+	x    *controlplane.Controller
+	op   arith.BinaryOp
+	rep  population.Representative
+	memo population.BinaryMemo
+}
+
+func newJointTarget(engine *arith.BinaryEngine, x *controlplane.Controller, op arith.BinaryOp, rep population.Representative) *jointTarget {
+	return &jointTarget{
+		shadow: shadow[population.BinaryEntry, population.BinaryPair]{
+			store: engine.Store(),
+			key: func(e population.BinaryEntry) (population.BinaryPair, uint64) {
+				return population.BinaryPair{X: e.X, Y: e.Y}, e.Result
+			},
+			row: func(pr population.BinaryPair, data any) tcam.Row {
+				return tcam.Row{Fields: []tcam.Field{tcam.FieldFromPrefix(pr.X), tcam.FieldFromPrefix(pr.Y)}, Data: data}
+			},
+			cmp: func(a, b population.BinaryPair) int { return cmp.Or(a.X.Compare(b.X), a.Y.Compare(b.Y)) },
+		},
+		x: x, op: op, rep: rep,
 	}
-	if t.installedSeq == res.Seq {
-		// Converged round: the installed population was built at this exact
-		// trie state, so there is nothing to write.
-		return 0, res.Computed, res.Reused, nil
-	}
-	var add []population.UnaryEntry
-	for _, e := range res.Entries {
-		if old, ok := t.installed[e.P]; !ok || old != e.Result {
-			add = append(add, e)
-		}
-	}
-	var stale []bitstr.Prefix
-	for p := range t.installed {
-		if _, ok := res.Results[p]; !ok {
-			stale = append(stale, p)
-		}
-	}
-	bitstr.SortPrefixes(stale) // deterministic row order across runs
-	remove := make([]population.UnaryEntry, len(stale))
-	for i, p := range stale {
-		remove[i] = population.UnaryEntry{P: p}
-	}
-	writes, err := t.engine.ReloadDelta(add, remove)
-	if errors.Is(err, tcam.ErrDeltaConflict) {
-		// Shadow record diverged from the table (should not happen under the
-		// version guard; defensive). Resync with a full reload.
-		writes, err = t.engine.Reload(res.Entries)
-	}
+}
+
+// Populate implements controlplane.Target (see unaryTarget.Populate).
+func (t *jointTarget) Populate(ty *trie.Trie, budget int) (int, int, error) {
+	res, err := population.ADABinaryMemo(t.x.Trie(), ty, t.op.Func(), budget, t.rep, nil)
 	if err != nil {
-		// The table rolled back (and bumped its version), so the next call
-		// takes the full-reload path; the record still describes the table.
-		return writes, res.Computed, res.Reused, err
+		return 0, 0, err
 	}
-	t.record(res)
-	return writes, res.Computed, res.Reused, nil
+	writes, err := t.reload(res.Entries, res.Results, [2]uint64{res.SeqX, res.SeqY})
+	return writes, res.Computed, err
 }
 
-// record pins the shadow record to the population build just committed.
-// Aliasing res.Results is safe: the memo rebuilds the map on every
-// recompute instead of mutating it in place.
-func (t *unaryTarget) record(res population.UnaryMemoResult) {
-	t.installed = res.Results
-	t.installedSeq = res.Seq
-	t.haveInstalled = true
-	t.lastVersion = t.engine.Store().Version()
-}
-
-// AuditCalc implements controlplane.AuditableTarget: read the calculation
-// table back, classify divergence from the installed shadow record
-// (corrupted / ghost / missing rows), and — when repair is set — heal it
-// with the store's minimal anti-entropy delta instead of a repopulation.
-func (t *unaryTarget) AuditCalc(repair bool) (controlplane.AuditReport, error) {
-	if !t.haveInstalled {
-		return controlplane.AuditReport{}, nil
-	}
-	rep, err := controlplane.AuditStore(t.engine.Store(), t.expectedRows(), repair)
+// PopulateDelta implements controlplane.DeltaTarget (see
+// unaryTarget.PopulateDelta).
+func (t *jointTarget) PopulateDelta(ty *trie.Trie, budget int) (int, int, int, error) {
+	res, err := population.ADABinaryMemo(t.x.Trie(), ty, t.op.Func(), budget, t.rep, &t.memo)
 	if err != nil {
-		return rep, err
+		return 0, 0, 0, err
 	}
-	if rep.Repaired {
-		// The repair commit bumped the store version; re-pin so the next
-		// delta round trusts the (now restored) shadow record instead of
-		// falling back to a full reload.
-		t.lastVersion = t.engine.Store().Version()
-	}
-	return rep, nil
+	writes, err := t.commit(res.Entries, res.Results, [2]uint64{res.SeqX, res.SeqY})
+	return writes, res.Computed, res.Reused, err
 }
 
-// expectedRows renders the installed shadow record as the physical rows the
-// calculation table must hold, in deterministic prefix order.
-func (t *unaryTarget) expectedRows() []tcam.Row {
-	ps := make([]bitstr.Prefix, 0, len(t.installed))
-	for p := range t.installed {
-		ps = append(ps, p)
-	}
-	bitstr.SortPrefixes(ps)
-	rows := make([]tcam.Row, len(ps))
-	for i, p := range ps {
-		rows[i] = tcam.RowFromPrefix(p, t.installed[p])
-	}
-	return rows
+// PlaceTiers implements controlplane.TierPlacer, scoring each row by the
+// product of its operands' marginal hit mass (see placeTiers).
+func (t *jointTarget) PlaceTiers(ty *trie.Trie) (controlplane.TierMoves, bool, error) {
+	return placeTiers(t.store, t.x.Trie(), ty)
+}
+
+// calcTarget is a calculation target with the audit and tier-placement
+// seams: what plainTarget lets through its veil.
+type calcTarget interface {
+	controlplane.Target
+	controlplane.AuditableTarget
+	controlplane.TierPlacer
 }
 
 // plainTarget hides a target's incremental path (Config.DisableIncremental):
-// the driver's type assertion fails and every round repopulates in full.
-type plainTarget struct{ controlplane.Target }
+// the driver's DeltaTarget assertion fails and every round repopulates in
+// full. Audits and tier placement pass through — the veil hides delta
+// population, not crash-safety or the tiered store.
+type plainTarget struct{ calcTarget }
 
-// AuditCalc forwards the audit seam through the veil: DisableIncremental
-// hides delta population, not crash-safety.
-func (p plainTarget) AuditCalc(repair bool) (controlplane.AuditReport, error) {
-	if at, ok := p.Target.(controlplane.AuditableTarget); ok {
-		return at.AuditCalc(repair)
+// veil returns target as a controller should see it: behind plainTarget
+// when Config.DisableIncremental is set.
+func (c Config) veil(target calcTarget) controlplane.Target {
+	if c.DisableIncremental {
+		return plainTarget{target}
 	}
-	return controlplane.AuditReport{}, nil
+	return target
 }
 
-// PlaceTiers forwards the tier-placement seam through the veil:
-// DisableIncremental hides delta population, not the tiered store.
-func (p plainTarget) PlaceTiers(tr *trie.Trie) (controlplane.TierMoves, bool, error) {
-	if tp, ok := p.Target.(controlplane.TierPlacer); ok {
-		return tp.PlaceTiers(tr)
-	}
-	return controlplane.TierMoves{}, false, nil
+// controller builds one monitored variable's controller over target (nil
+// for a variable that owns no calculation table), with its own journal.
+func (c Config) controller(mon *monitor.Monitor, target controlplane.Target) (*controlplane.Controller, error) {
+	ccfg := c.controllerConfig()
+	ccfg.Journal = c.journalFor()
+	return controlplane.New(ccfg, mon, target)
 }
 
 var (
-	_ controlplane.DeltaTarget     = (*unaryTarget)(nil)
-	_ controlplane.AuditableTarget = (*unaryTarget)(nil)
-	_ controlplane.TierPlacer      = (*unaryTarget)(nil)
-	_ controlplane.AuditableTarget = plainTarget{}
-	_ controlplane.TierPlacer      = plainTarget{}
+	_ controlplane.DeltaTarget = (*unaryTarget)(nil)
+	_ controlplane.DeltaTarget = (*jointTarget)(nil)
+	_ calcTarget               = (*unaryTarget)(nil)
+	_ calcTarget               = (*jointTarget)(nil)
+	_ calcTarget               = plainTarget{}
 )
 
 // UnarySystem is ADA deployed for a single-operand operation.
@@ -455,14 +578,8 @@ func newUnaryOn(name string, cfg Config, op arith.UnaryOp, engine *arith.UnaryEn
 	if err != nil {
 		return nil, err
 	}
-	target := &unaryTarget{engine: engine, op: op, rep: cfg.Representative}
-	var ctlTarget controlplane.Target = target
-	if cfg.DisableIncremental {
-		ctlTarget = plainTarget{target}
-	}
-	ccfg := cfg.controllerConfig()
-	ccfg.Journal = cfg.journalFor()
-	ctl, err := controlplane.New(ccfg, mon, ctlTarget)
+	target := newUnaryTarget(engine, op, cfg.Representative)
+	ctl, err := cfg.controller(mon, cfg.veil(target))
 	if err != nil {
 		return nil, err
 	}
@@ -526,28 +643,9 @@ func (s *UnarySystem) SyncCtx(ctx context.Context) (SyncReport, error) {
 	if err != nil {
 		return SyncReport{}, err
 	}
-	return SyncReport{
-		Delay:           rep.Delay,
-		Reads:           rep.Reads,
-		Writes:          rep.RegisterWrites + rep.TCAMWrites,
-		TCAMWrites:      rep.TCAMWrites,
-		Rebalances:      rep.Rebalances,
-		Computed:        rep.Computed,
-		Reused:          rep.Reused,
-		Expanded:        rep.Expanded,
-		Degraded:        rep.Degraded,
-		DegradedReason:  rep.DegradedReason,
-		Retries:         rep.Retries,
-		DriverErrors:    rep.DriverErrors,
-		AuditRan:        rep.AuditRan,
-		Audit:           rep.Audit,
-		Health:          rep.Health,
-		TierPlaced:      rep.TierPlaced,
-		TierPlaceFailed: rep.TierPlaceFailed,
-		TierPromotions:  rep.TierPromotions,
-		TierDemotions:   rep.TierDemotions,
-		SRAMWrites:      rep.SRAMWrites,
-	}, nil
+	var out SyncReport
+	out.add(rep)
+	return out, nil
 }
 
 // Restart models a controller crash and restart: the data plane (monitor
@@ -568,13 +666,8 @@ func (s *UnarySystem) Restart() (controlplane.RecoveryReport, error) {
 	if mon == nil {
 		return controlplane.RecoveryReport{}, fmt.Errorf("%w: Restart requires an in-process monitor", ErrConfig)
 	}
-	target := &unaryTarget{engine: s.engine, op: s.op, rep: s.cfg.Representative}
-	var ctlTarget controlplane.Target = target
-	if s.cfg.DisableIncremental {
-		ctlTarget = plainTarget{target}
-	}
-	ccfg := s.cfg.controllerConfig()
-	ctl, rrep, err := controlplane.Recover(ccfg, controlplane.NewDirectDriver(mon, ctlTarget), j)
+	target := newUnaryTarget(s.engine, s.op, s.cfg.Representative)
+	ctl, rrep, err := controlplane.Recover(s.cfg.controllerConfig(), controlplane.NewDirectDriver(mon, s.cfg.veil(target)), j)
 	if err != nil {
 		return rrep, err
 	}
@@ -625,37 +718,14 @@ func (s *UnarySystem) Pipeline(name string) (*pisa.Pipeline, error) {
 }
 
 // BinarySystem is ADA deployed for a two-operand operation with one monitor
-// per operand (the paper's ADA(ΔT, R)).
+// per operand (the paper's ADA(ΔT, R)). The joint calculation table is the
+// y controller's target; x's controller owns no table.
 type BinarySystem struct {
 	cfg    Config
 	op     arith.BinaryOp
 	engine *arith.BinaryEngine
 	ctlX   *controlplane.Controller
 	ctlY   *controlplane.Controller
-	rep    population.Representative
-
-	// Incremental-population state, mirroring unaryTarget's: the Algorithm 3
-	// memo plus a shadow record of the installed joint population and the
-	// (SeqX, SeqY) trie states it was built at. The joint populate runs after
-	// both variables' rounds commit, so the memo's wholesale-reuse path is
-	// what makes a converged Sync write nothing.
-	memo          population.BinaryMemo
-	installed     map[population.BinaryPair]uint64
-	installedSeqX uint64
-	installedSeqY uint64
-	haveInstalled bool
-	lastVersion   uint64
-
-	// budget is the live calculation entry budget; starts at
-	// cfg.CalcEntries and moves under SetCalcBudget (tenant arbitration).
-	budget int
-
-	// Joint-table audit scheduling, mirroring the controller's: the joint
-	// calculation table is not owned by either variable's controller, so
-	// Sync audits it here on the same AuditEvery cadence. auditPending
-	// forces an audit after a Sync that saw driver errors.
-	roundsSinceAudit int
-	auditPending     bool
 }
 
 // NewBinary builds the system and installs the initial uniform population.
@@ -698,144 +768,25 @@ func newBinaryOn(name string, cfg Config, op arith.BinaryOp, engine *arith.Binar
 	if err != nil {
 		return nil, err
 	}
-	ccfgX := cfg.controllerConfig()
-	ccfgX.Journal = cfg.journalFor()
-	ctlX, err := controlplane.New(ccfgX, monX, nil)
+	ctlX, err := cfg.controller(monX, nil)
 	if err != nil {
 		return nil, err
 	}
-	ccfgY := cfg.controllerConfig()
-	ccfgY.Journal = cfg.journalFor()
-	ctlY, err := controlplane.New(ccfgY, monY, nil)
+	target := newJointTarget(engine, ctlX, op, cfg.Representative)
+	ctlY, err := cfg.controller(monY, cfg.veil(target))
 	if err != nil {
 		return nil, err
 	}
-	s := &BinarySystem{cfg: cfg, op: op, engine: engine, ctlX: ctlX, ctlY: ctlY,
-		rep: cfg.Representative, budget: cfg.CalcEntries}
-	if _, _, _, err := s.populate(); err != nil {
+	// Initial population from the uniform tries, built through the memo so
+	// the first round starts warm.
+	if _, _, _, err := target.PopulateDelta(ctlY.Trie(), cfg.CalcEntries); err != nil {
 		return nil, err
 	}
 	// Construction-time spills are not round work (see newUnaryOn).
 	if ts, ok := engine.Store().(*tcam.TieredStore); ok {
 		ts.TakeSRAMWrites()
 	}
-	return s, nil
-}
-
-// populate reconciles the joint calculation table against both tries,
-// returning TCAM writes plus the computed/reused entry split. With
-// DisableIncremental set it regenerates and reloads in full every time;
-// otherwise it runs memoized Algorithm 3 and commits only the delta.
-func (s *BinarySystem) populate() (int, int, int, error) {
-	tx, ty := s.ctlX.Trie(), s.ctlY.Trie()
-	if s.cfg.DisableIncremental {
-		entries, err := population.ADABinary(tx, ty, s.op.Func(), s.budget, s.rep)
-		if err != nil {
-			return 0, 0, 0, err
-		}
-		writes, err := s.engine.Reload(entries)
-		return writes, len(entries), 0, err
-	}
-	res, err := population.ADABinaryMemo(tx, ty, s.op.Func(), s.budget, s.rep, &s.memo)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	if !s.haveInstalled || s.engine.Store().Version() != s.lastVersion {
-		writes, err := s.engine.Reload(res.Entries)
-		if err != nil {
-			return 0, res.Computed, res.Reused, err
-		}
-		s.record(res)
-		return writes, res.Computed, res.Reused, nil
-	}
-	if s.installedSeqX == res.SeqX && s.installedSeqY == res.SeqY {
-		return 0, res.Computed, res.Reused, nil
-	}
-	var add []population.BinaryEntry
-	for _, e := range res.Entries {
-		if old, ok := s.installed[population.BinaryPair{X: e.X, Y: e.Y}]; !ok || old != e.Result {
-			add = append(add, e)
-		}
-	}
-	var stale []population.BinaryPair
-	for pr := range s.installed {
-		if _, ok := res.Results[pr]; !ok {
-			stale = append(stale, pr)
-		}
-	}
-	sort.Slice(stale, func(i, j int) bool { // deterministic row order
-		if c := stale[i].X.Compare(stale[j].X); c != 0 {
-			return c < 0
-		}
-		return stale[i].Y.Compare(stale[j].Y) < 0
-	})
-	remove := make([]population.BinaryEntry, len(stale))
-	for i, pr := range stale {
-		remove[i] = population.BinaryEntry{X: pr.X, Y: pr.Y}
-	}
-	writes, err := s.engine.ReloadDelta(add, remove)
-	if errors.Is(err, tcam.ErrDeltaConflict) {
-		writes, err = s.engine.Reload(res.Entries)
-	}
-	if err != nil {
-		return writes, res.Computed, res.Reused, err
-	}
-	s.record(res)
-	return writes, res.Computed, res.Reused, nil
-}
-
-// expectedRows renders the installed joint shadow as the physical rows the
-// calculation table must hold, in deterministic (X, Y) order.
-func (s *BinarySystem) expectedRows() []tcam.Row {
-	pairs := make([]population.BinaryPair, 0, len(s.installed))
-	for pr := range s.installed {
-		pairs = append(pairs, pr)
-	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if c := pairs[i].X.Compare(pairs[j].X); c != 0 {
-			return c < 0
-		}
-		return pairs[i].Y.Compare(pairs[j].Y) < 0
-	})
-	rows := make([]tcam.Row, len(pairs))
-	for i, pr := range pairs {
-		rows[i] = tcam.Row{
-			Fields: []tcam.Field{tcam.FieldFromPrefix(pr.X), tcam.FieldFromPrefix(pr.Y)},
-			Data:   s.installed[pr],
-		}
-	}
-	return rows
-}
-
-// AuditJoint reads the joint calculation table back, classifies divergence
-// from the installed shadow (corrupted / ghost / missing rows), and — when
-// repair is set — heals it with the store's minimal anti-entropy delta.
-// Sync runs it on the Config.AuditEvery cadence; exposed for recovery
-// tooling and tests. Before the first populate it audits trivially clean.
-func (s *BinarySystem) AuditJoint(repair bool) (controlplane.AuditReport, error) {
-	if !s.haveInstalled {
-		return controlplane.AuditReport{}, nil
-	}
-	rep, err := controlplane.AuditStore(s.engine.Store(), s.expectedRows(), repair)
-	if err != nil {
-		return rep, err
-	}
-	if rep.Repaired {
-		// Re-pin the store version the repair commit produced so the next
-		// populate keeps its delta path (see unaryTarget.AuditCalc).
-		s.lastVersion = s.engine.Store().Version()
-	}
-	return rep, nil
-}
-
-// record pins the shadow record to the joint build just committed; aliasing
-// res.Results is safe because the memo rebuilds the map on every recompute.
-func (s *BinarySystem) record(res population.BinaryMemoResult) {
-	s.installed = res.Results
-	s.installedSeqX = res.SeqX
-	s.installedSeqY = res.SeqY
-	s.haveInstalled = true
-	s.lastVersion = s.engine.Store().Version()
+	return &BinarySystem{cfg: cfg, op: op, engine: engine, ctlX: ctlX, ctlY: ctlY}, nil
 }
 
 // Observe feeds one (x, y) operand pair to the monitors.
@@ -873,11 +824,12 @@ func (s *BinarySystem) Lookup(x, y uint64) (uint64, error) {
 	return s.engine.Eval(x, y)
 }
 
-// Sync runs one control round across both variables and repopulates the
-// joint calculation table. When either variable's round degrades, its trie
-// did not move, so the joint population is skipped — the last good table
-// keeps serving and the report says why. A failed joint reload likewise
-// degrades the round (the engine's reload is transactional) rather than
+// Sync runs x's control round, then y's. The joint calculation table is y's
+// controller target, so y's round audits, repopulates and tier-places it
+// like any calculation table, building from y's reshaped trie and x's last
+// committed one: a degraded x round leaves x's bins where they were, and
+// the joint table still follows y; a degraded y round keeps the last good
+// joint population serving. Driver failures degrade the report rather than
 // returning an error; errors are reserved for programming faults.
 func (s *BinarySystem) Sync() (SyncReport, error) {
 	return s.SyncCtx(context.Background())
@@ -895,110 +847,21 @@ func (s *BinarySystem) SyncCtx(ctx context.Context) (SyncReport, error) {
 	if err != nil {
 		return SyncReport{}, fmt.Errorf("variable y: %w", err)
 	}
-	out := SyncReport{
-		Reads:          repX.Reads + repY.Reads,
-		Writes:         repX.RegisterWrites + repX.TCAMWrites + repY.RegisterWrites + repY.TCAMWrites,
-		TCAMWrites:     repX.TCAMWrites + repY.TCAMWrites,
-		Rebalances:     repX.Rebalances + repY.Rebalances,
-		Computed:       repX.Computed + repY.Computed,
-		Reused:         repX.Reused + repY.Reused,
-		Expanded:       repX.Expanded || repY.Expanded,
-		Degraded:       repX.Degraded || repY.Degraded,
-		Retries:        repX.Retries + repY.Retries,
-		DriverErrors:   repX.DriverErrors + repY.DriverErrors,
-		DegradedReason: repX.DegradedReason,
-		Health:         repX.Health,
-	}
-	if out.DegradedReason == controlplane.ReasonNone {
-		out.DegradedReason = repY.DegradedReason
-	}
-	if repY.Health == controlplane.Unhealthy {
-		out.Health = controlplane.Unhealthy
-	}
-	out.Delay = repX.Delay + repY.Delay
-	out.AuditRan = repX.AuditRan || repY.AuditRan
-	out.Audit.Add(repX.Audit)
-	out.Audit.Add(repY.Audit)
-	// Joint-table audit: the per-variable controllers own no calculation
-	// target, so the joint table is audited here, against the last committed
-	// shadow, on the same cadence the controllers use. A Sync that saw
-	// driver errors forces one next round.
-	if s.cfg.AuditEvery > 0 && out.DriverErrors > 0 {
-		s.auditPending = true
-	}
-	if s.cfg.AuditEvery > 0 && (s.auditPending || s.roundsSinceAudit >= s.cfg.AuditEvery) {
-		arep, aerr := s.AuditJoint(true)
-		out.AuditRan = true
-		out.Audit.Add(arep)
-		out.Writes += arep.RepairWrites
-		out.TCAMWrites += arep.RepairWrites
-		out.Delay += time.Duration(arep.Audited)*s.cfg.Cost.PerRowRead +
-			time.Duration(arep.RepairWrites)*s.cfg.Cost.PerTCAMWrite
-		if aerr != nil {
-			out.Degraded = true
-			if out.DegradedReason == controlplane.ReasonNone {
-				out.DegradedReason = controlplane.ReasonAudit
-			}
-			return out, nil
-		}
-		s.auditPending = false
-		s.roundsSinceAudit = 0
-	}
-	if out.Degraded {
-		return out, nil
-	}
-	calcWrites, computed, reused, err := s.populate()
-	if err != nil {
-		if errors.Is(err, population.ErrBudget) || errors.Is(err, population.ErrWidth) ||
-			errors.Is(err, population.ErrRange) {
-			return SyncReport{}, fmt.Errorf("joint population: %w", err)
-		}
-		out.Degraded = true
-		out.DegradedReason = controlplane.ReasonPopulate
-		return out, nil
-	}
-	out.Writes += calcWrites
-	out.TCAMWrites += calcWrites
-	out.Computed += computed
-	out.Reused += reused
-	out.Delay += time.Duration(calcWrites)*s.cfg.Cost.PerTCAMWrite +
-		time.Duration(computed)*s.cfg.Cost.PerEntryCompute +
-		time.Duration(reused)*s.cfg.Cost.PerEntryReused
-	// Tier placement: the joint calculation table is not owned by either
-	// variable's controller, so — like the joint audit above — the placement
-	// pass runs here, after a committed populate, scoring each row by the
-	// product of its operands' marginal hit mass. Failure is non-fatal; the
-	// moves that landed are still charged.
-	if moves, placed, perr := s.placeTiers(); placed {
-		out.TierPlaced = true
-		out.TierPlaceFailed = perr != nil
-		out.TierPromotions = moves.Promotions
-		out.TierDemotions = moves.Demotions
-		out.SRAMWrites = moves.SRAMWrites
-		out.Writes += moves.TCAMWrites
-		out.TCAMWrites += moves.TCAMWrites
-		out.Delay += time.Duration(moves.TCAMWrites)*s.cfg.Cost.PerTCAMWrite +
-			time.Duration(moves.SRAMWrites)*s.cfg.Cost.PerSRAMWrite
-	}
-	s.roundsSinceAudit++
+	var out SyncReport
+	out.add(repX)
+	out.add(repY)
 	return out, nil
 }
 
 // Engine exposes the calculation engine.
 func (s *BinarySystem) Engine() *arith.BinaryEngine { return s.engine }
 
-// CalcBudget returns the live calculation entry budget.
-func (s *BinarySystem) CalcBudget() int { return s.budget }
+// CalcBudget returns the live joint calculation entry budget.
+func (s *BinarySystem) CalcBudget() int { return s.ctlY.CalcBudget() }
 
 // SetCalcBudget retargets subsequent rounds at a new joint entry budget.
 // Call between Syncs; takes effect at the next populate.
-func (s *BinarySystem) SetCalcBudget(n int) error {
-	if n < 1 {
-		return fmt.Errorf("%w: calc budget %d", ErrConfig, n)
-	}
-	s.budget = n
-	return nil
-}
+func (s *BinarySystem) SetCalcBudget(n int) error { return s.ctlY.SetCalcBudget(n) }
 
 // ControllerX exposes the first operand's control-plane state.
 func (s *BinarySystem) ControllerX() *controlplane.Controller { return s.ctlX }

@@ -98,44 +98,30 @@ func intervalHeat(bins []trie.Bin, lo, hi uint64) uint64 {
 	return total
 }
 
-// PlaceTiers implements controlplane.TierPlacer: when the engine is mounted
-// on a tiered store, re-rank tier placement from the trie's hit registers.
-// The SRAM write counter is drained in every path — including a failed
-// rebalance — so work that landed (populate-time spills, partial moves) is
-// charged to the round that caused it.
-func (t *unaryTarget) PlaceTiers(tr *trie.Trie) (controlplane.TierMoves, bool, error) {
-	ts, ok := t.engine.Store().(*tcam.TieredStore)
+// placeTiers re-ranks a tiered calculation store's row placement from the
+// tries' hit registers, one trie per match field: a row's heat is the
+// product of the hit mass each field's interval covers in its trie. placed
+// is false when the store is not tiered. The SRAM write counter is drained
+// in every path — including a failed rebalance — so work that landed
+// (populate-time spills, partial moves) is charged to the round that caused
+// it.
+func placeTiers(store tcam.Store, tries ...*trie.Trie) (controlplane.TierMoves, bool, error) {
+	ts, ok := store.(*tcam.TieredStore)
 	if !ok {
 		return controlplane.TierMoves{}, false, nil
 	}
-	bins := tr.Leaves()
-	width := t.engine.Width()
-	moves, err := ts.Rebalance(func(fields []tcam.Field, _ int) uint64 {
-		lo, hi := fieldInterval(fields[0], width)
-		return intervalHeat(bins, lo, hi)
-	})
-	return controlplane.TierMoves{
-		Promotions: moves.Promotions,
-		Demotions:  moves.Demotions,
-		TCAMWrites: moves.TCAMWrites,
-		SRAMWrites: ts.TakeSRAMWrites(),
-	}, true, err
-}
-
-// placeTiers is the BinarySystem's placement pass, run by Sync after a
-// committed joint populate (neither per-variable controller owns the joint
-// table). placed is false when the engine is not tiered.
-func (s *BinarySystem) placeTiers() (controlplane.TierMoves, bool, error) {
-	ts, ok := s.engine.Store().(*tcam.TieredStore)
-	if !ok {
-		return controlplane.TierMoves{}, false, nil
+	bins := make([][]trie.Bin, len(tries))
+	for i, tr := range tries {
+		bins[i] = tr.Leaves()
 	}
-	binsX, binsY := s.ctlX.Trie().Leaves(), s.ctlY.Trie().Leaves()
 	widths := ts.FieldWidths()
 	moves, err := ts.Rebalance(func(fields []tcam.Field, _ int) uint64 {
-		lox, hix := fieldInterval(fields[0], widths[0])
-		loy, hiy := fieldInterval(fields[1], widths[1])
-		return satMul(intervalHeat(binsX, lox, hix), intervalHeat(binsY, loy, hiy))
+		heat := uint64(1)
+		for i, f := range fields {
+			lo, hi := fieldInterval(f, widths[i])
+			heat = satMul(heat, intervalHeat(bins[i], lo, hi))
+		}
+		return heat
 	})
 	return controlplane.TierMoves{
 		Promotions: moves.Promotions,

@@ -23,8 +23,8 @@
 //   - capacity pressure: installs fail with ErrPressure, modelling TCAM
 //     space transiently claimed by other tables on the switch;
 //   - per-row write failures: AttachTable hooks a tcam.Table so individual
-//     row writes fail mid-reconciliation, exercising ApplyRows' partial
-//     failure contract and ApplyRowsAtomic's rollback.
+//     row writes fail mid-reconciliation, exercising ApplyRowsAtomic's and
+//     ApplyDelta's rollback.
 package faults
 
 import (

@@ -220,7 +220,7 @@ func TestAttachTableRowFaults(t *testing.T) {
 		}
 		rows = append(rows, tcam.RowFromPrefix(p, uint64(1)))
 	}
-	if _, err := tb.ApplyRows(rows); err != nil {
+	if _, err := tb.ApplyRowsAtomic(rows); err != nil {
 		t.Fatal(err)
 	}
 	fp := tb.Fingerprint()

@@ -24,7 +24,7 @@ func rowsOf(t *testing.T, data map[string]uint64) []Row {
 func TestApplyRowsIdempotent(t *testing.T) {
 	tb := MustNew("t", 8, 3)
 	rows := rowsOf(t, map[string]uint64{"0xx": 1, "10x": 2, "11x": 3})
-	writes, err := tb.ApplyRows(rows)
+	writes, err := tb.ApplyRowsAtomic(rows)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +32,7 @@ func TestApplyRowsIdempotent(t *testing.T) {
 		t.Errorf("initial writes = %d, want 3", writes)
 	}
 	// Re-applying identical rows must cost nothing.
-	writes, err = tb.ApplyRows(rows)
+	writes, err = tb.ApplyRowsAtomic(rows)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,11 +46,11 @@ func TestApplyRowsIdempotent(t *testing.T) {
 
 func TestApplyRowsDataOnlyChange(t *testing.T) {
 	tb := MustNew("t", 8, 3)
-	if _, err := tb.ApplyRows(rowsOf(t, map[string]uint64{"0xx": 1, "1xx": 2})); err != nil {
+	if _, err := tb.ApplyRowsAtomic(rowsOf(t, map[string]uint64{"0xx": 1, "1xx": 2})); err != nil {
 		t.Fatal(err)
 	}
 	// Same keys, one new result: exactly one action rewrite.
-	writes, err := tb.ApplyRows(rowsOf(t, map[string]uint64{"0xx": 1, "1xx": 99}))
+	writes, err := tb.ApplyRowsAtomic(rowsOf(t, map[string]uint64{"0xx": 1, "1xx": 99}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,11 +68,11 @@ func TestApplyRowsDataOnlyChange(t *testing.T) {
 
 func TestApplyRowsAddAndRemove(t *testing.T) {
 	tb := MustNew("t", 8, 3)
-	if _, err := tb.ApplyRows(rowsOf(t, map[string]uint64{"0xx": 1, "1xx": 2})); err != nil {
+	if _, err := tb.ApplyRowsAtomic(rowsOf(t, map[string]uint64{"0xx": 1, "1xx": 2})); err != nil {
 		t.Fatal(err)
 	}
 	// Split 1xx into 10x/11x: one delete, two inserts, 0xx untouched.
-	writes, err := tb.ApplyRows(rowsOf(t, map[string]uint64{"0xx": 1, "10x": 4, "11x": 5}))
+	writes, err := tb.ApplyRowsAtomic(rowsOf(t, map[string]uint64{"0xx": 1, "10x": 4, "11x": 5}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,22 +90,22 @@ func TestApplyRowsAddAndRemove(t *testing.T) {
 func TestApplyRowsCapacity(t *testing.T) {
 	tb := MustNew("t", 2, 3)
 	rows := rowsOf(t, map[string]uint64{"00x": 1, "01x": 2, "1xx": 3})
-	if _, err := tb.ApplyRows(rows); !errors.Is(err, ErrCapacity) {
-		t.Errorf("over-capacity ApplyRows error = %v, want ErrCapacity", err)
+	if _, err := tb.ApplyRowsAtomic(rows); !errors.Is(err, ErrCapacity) {
+		t.Errorf("over-capacity ApplyRowsAtomic error = %v, want ErrCapacity", err)
 	}
 	if tb.Len() != 0 {
-		t.Error("failed ApplyRows mutated the table")
+		t.Error("failed ApplyRowsAtomic mutated the table")
 	}
 }
 
 func TestApplyRowsPriorityIsPartOfKey(t *testing.T) {
 	tb := MustNew("t", 8, 3)
 	p, _ := bitstr.Parse("0xx")
-	if _, err := tb.ApplyRows([]Row{{Fields: []Field{FieldFromPrefix(p)}, Priority: 1, Data: uint64(1)}}); err != nil {
+	if _, err := tb.ApplyRowsAtomic([]Row{{Fields: []Field{FieldFromPrefix(p)}, Priority: 1, Data: uint64(1)}}); err != nil {
 		t.Fatal(err)
 	}
 	// Same match, different priority: a distinct TCAM row (delete + insert).
-	writes, err := tb.ApplyRows([]Row{{Fields: []Field{FieldFromPrefix(p)}, Priority: 2, Data: uint64(1)}})
+	writes, err := tb.ApplyRowsAtomic([]Row{{Fields: []Field{FieldFromPrefix(p)}, Priority: 2, Data: uint64(1)}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,8 +114,9 @@ func TestApplyRowsPriorityIsPartOfKey(t *testing.T) {
 	}
 }
 
-// Property: ApplyRows reaches the same end state as ReplaceAll for random
-// row sets, with never more writes.
+// Property: ApplyRowsAtomic reaches the same end state as a full rewrite
+// (delete every installed row, insert every new one) for random row sets,
+// with never more writes.
 func TestQuickApplyRowsMatchesReplaceAll(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 100; trial++ {
@@ -142,19 +143,16 @@ func TestQuickApplyRowsMatchesReplaceAll(t *testing.T) {
 		first, second := mkRows(), mkRows()
 
 		a := MustNew("a", 0, width)
-		b := MustNew("b", 0, width)
-		if _, err := a.ApplyRows(first); err != nil {
+		if _, err := a.ApplyRowsAtomic(first); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := b.ReplaceAll(first); err != nil {
-			t.Fatal(err)
-		}
-		deltaWrites, err := a.ApplyRows(second)
+		fullWrites := a.Len() + len(second)
+		deltaWrites, err := a.ApplyRowsAtomic(second)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fullWrites, err := b.ReplaceAll(second)
-		if err != nil {
+		b := MustNew("b", 0, width) // the full rewrite's end state
+		if _, err := b.ApplyRowsAtomic(second); err != nil {
 			t.Fatal(err)
 		}
 		if deltaWrites > fullWrites {

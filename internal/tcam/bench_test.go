@@ -117,12 +117,12 @@ func BenchmarkApplyRowsNoChange(b *testing.B) {
 	for i, p := range subdivideForBench(root, 64) {
 		rows = append(rows, RowFromPrefix(p, uint64(i)))
 	}
-	if _, err := tb.ApplyRows(rows); err != nil {
+	if _, err := tb.ApplyRowsAtomic(rows); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := tb.ApplyRows(rows); err != nil {
+		if _, err := tb.ApplyRowsAtomic(rows); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -59,15 +59,15 @@ func TestLookupCacheDifferentialApplyRows(t *testing.T) {
 	}
 	gen0 := tb.Generation()
 	for round := 0; round < 64; round++ {
-		if _, err := tb.ApplyRows(tilingRows(randTiling(rng, 8, 5))); err != nil {
-			t.Fatalf("round %d: ApplyRows: %v", round, err)
+		if _, err := tb.ApplyRowsAtomic(tilingRows(randTiling(rng, 8, 5))); err != nil {
+			t.Fatalf("round %d: ApplyRowsAtomic: %v", round, err)
 		}
 		for b := 0; b < 4; b++ {
 			assertCachedParity(t, c, tb, skewedBatch(rng, 512, 8))
 		}
 	}
-	if !tb.GenerationChanged(gen0) {
-		t.Fatal("64 ApplyRows rounds left the generation unchanged")
+	if tb.Generation() == gen0 {
+		t.Fatal("64 ApplyRowsAtomic rounds left the generation unchanged")
 	}
 	st := c.Stats()
 	if st.Hits == 0 {
@@ -120,7 +120,7 @@ func TestLookupCacheApplyDeltaRollback(t *testing.T) {
 	}
 	tab.SetWriteHook(nil)
 
-	if tab.GenerationChanged(gen) {
+	if tab.Generation() != gen {
 		t.Fatal("rolled-back delta advanced the bulk generation")
 	}
 	assertCachedParity(t, c, tab, batch)
@@ -305,7 +305,7 @@ func TestLookupCacheBinaryKeys(t *testing.T) {
 func TestLookupCacheEviction(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	tb := MustNew("t", 0, 8)
-	if _, err := tb.ApplyRows(tilingRows(randTiling(rng, 8, 5))); err != nil {
+	if _, err := tb.ApplyRowsAtomic(tilingRows(randTiling(rng, 8, 5))); err != nil {
 		t.Fatal(err)
 	}
 	c := NewLookupCache(tb, cacheWays) // one set: every insert contends

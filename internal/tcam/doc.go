@@ -35,12 +35,12 @@
 // # Generation — bulk commits only
 //
 // Table.Generation advances by one each time a bulk reconciliation commits
-// successfully: ReplaceAll, ApplyRows, ApplyRowsAtomic, ApplyDelta, and the
-// audit layer's AuditRepair (which is a bulk reconcile). It never advances
-// on a failed or rolled-back commit, on single-row operations, or on silent
-// tampering. Invariant checks use it to assert a table is either fully
-// old-generation or fully new-generation ("a round is atomic"), and
-// GenerationChanged(since) is the convenience form of that question.
+// successfully: ApplyRowsAtomic, ApplyDelta, and the audit layer's
+// AuditRepair (which is a bulk reconcile). It never advances on a failed or
+// rolled-back commit, on single-row operations, or on silent tampering.
+// Invariant checks use it to assert a table is either fully old-generation
+// or fully new-generation ("a round is atomic"), and Generation() != since
+// asks whether anything committed since a caller last looked.
 //
 // # Version — every mutation attempt through the API
 //

@@ -211,9 +211,9 @@ func intData(d any) (uint64, bool) {
 }
 
 // buildIndex compiles a resolution-ordered entry list whose ordinals start
-// at base. Entries are copied into the snapshot so later UpdateData/ApplyRows
-// mutations of the live entries can never race with a reader holding an old
-// snapshot.
+// at base. Entries are copied into the snapshot so later UpdateData or
+// ApplyRowsAtomic mutations of the live entries can never race with a reader
+// holding an old snapshot.
 func buildIndex(version uint64, widths []int, ordered []*Entry, base int32) *index {
 	ix := &index{version: version, widths: widths, typed: true}
 	ix.entries = make([]*Entry, len(ordered))

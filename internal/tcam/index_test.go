@@ -185,7 +185,7 @@ func generationRows(t *testing.T, tag int) []Row {
 }
 
 // TestIndexNoTornGeneration hammers lock-free LookupIndexBatch calls —
-// batches of eight and batches of one — against ApplyRowsAtomic/ReplaceAll
+// batches of eight and batches of one — against ApplyRowsAtomic/ApplyDelta
 // commits. Every committed population tags all
 // of its rows with one generation number; a batch resolved against a single
 // snapshot must never mix tags, and no lookup may miss (every population
@@ -260,7 +260,8 @@ func TestIndexNoTornGeneration(t *testing.T) {
 		if tag%2 == 0 {
 			_, err = tb.ApplyRowsAtomic(rows)
 		} else {
-			_, err = tb.ReplaceAll(rows)
+			// Delete the previous (even-tag) population, install this one.
+			_, err = tb.ApplyDelta(rows, generationRows(t, tag-1))
 		}
 		if err != nil {
 			t.Fatal(err)

@@ -81,7 +81,7 @@ func (s *sramTier) remove(key string) (Row, bool) {
 }
 
 // replace reconciles the tier contents toward rows with minimal row writes
-// (same diff ApplyRows uses: unchanged rows cost nothing, changed data one
+// (same diff ApplyRowsAtomic uses: unchanged rows cost nothing, changed data one
 // rewrite, new/stale rows one insert/delete each) and returns the write
 // count. It cannot fail: SRAM has no capacity gate here — the owning store
 // enforces the combined budget before calling.

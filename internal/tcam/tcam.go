@@ -58,9 +58,10 @@ func (op WriteOp) String() string {
 }
 
 // WriteHook is consulted before every physical row write. Returning an error
-// aborts that write; whether earlier writes of the same bulk operation remain
-// applied depends on the operation (see ApplyRows vs ApplyRowsAtomic). The
-// hook runs with the table lock held and must not call back into the table.
+// aborts that write; the bulk operations (ApplyRowsAtomic, ApplyDelta) then
+// roll back every earlier write of the same call, while a single-row
+// operation simply leaves the table unchanged. The hook runs with the table
+// lock held and must not call back into the table.
 type WriteHook func(WriteOp) error
 
 // Field is one ternary key field of an entry: the key bits selected by Mask
@@ -284,22 +285,14 @@ func (t *Table) SetWriteHook(h WriteHook) {
 }
 
 // Generation returns the bulk-commit generation: it advances by one each
-// time ReplaceAll, ApplyRows, ApplyRowsAtomic, or ApplyDelta completes
-// successfully, and never on a failed or rolled-back commit. Invariant checks
-// use it to assert a table is either fully old-generation or fully
-// new-generation.
+// time ApplyRowsAtomic or ApplyDelta completes successfully, and never on a
+// failed or rolled-back commit. Invariant checks use it to assert a table is
+// either fully old-generation or fully new-generation; "did anything commit
+// since I last looked?" is Generation() != since (see doc.go).
 func (t *Table) Generation() uint64 {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	return t.generation
-}
-
-// GenerationChanged reports whether the bulk-commit generation has advanced
-// past since — the idiom control-plane callers use to ask "did any round,
-// audit repair, or repopulation commit since I last looked?" without
-// restating the counter semantics (see doc.go for the full contract).
-func (t *Table) GenerationChanged(since uint64) bool {
-	return t.Generation() != since
 }
 
 // Version returns the content mutation counter. Unlike Generation it advances
@@ -590,89 +583,20 @@ func (t *Table) Entries() []*Entry {
 	return out
 }
 
-// ReplaceAll atomically swaps the table contents for the given rows,
-// returning the number of TCAM writes performed (deletes of stale rows plus
-// inserts of new rows). This is the bulk operation the ADA controller issues
-// at the end of every control round.
-func (t *Table) ReplaceAll(rows []Row) (writes int, err error) {
-	for _, r := range rows {
-		if err := t.validateFields(r.Fields); err != nil {
-			return 0, err
-		}
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.capacity > 0 && len(rows) > t.capacity {
-		return 0, &CapacityError{Table: t.name, Capacity: t.capacity, Installed: len(t.entries), Requested: len(rows)}
-	}
-	// Pre-flight every row write so the advertised atomicity holds even
-	// under an injected per-row failure: either all writes are admitted or
-	// none are applied.
-	for range t.entries {
-		if err := t.writeLocked(WriteDelete); err != nil {
-			return 0, err
-		}
-	}
-	for range rows {
-		if err := t.writeLocked(WriteInsert); err != nil {
-			return 0, err
-		}
-	}
-	writes = len(t.entries) + len(rows)
-	t.stats.deletes.Add(uint64(len(t.entries)))
-	t.entries = make(map[int]*Entry, len(rows))
-	t.ordered = t.ordered[:0]
-	for _, r := range rows {
-		e := t.newEntryLocked(r.Fields, r.Priority, r.Data)
-		t.entries[e.ID] = e
-		t.insertOrdered(e)
-		t.stats.inserts.Add(1)
-	}
-	t.generation++
-	t.dirtyLocked()
-	return writes, nil
-}
-
-// ApplyRows reconciles the table contents toward the given rows with the
-// minimum number of TCAM writes: rows whose match key and action data are
-// already installed cost nothing, rows whose key exists but whose data
-// changed cost one action rewrite, and only genuinely new/stale rows cost
-// an insert/delete. This models a real switch driver, which diffs against
-// its shadow copy instead of re-flashing the table (and is what keeps the
+// ApplyRowsAtomic reconciles the table contents toward the given rows with
+// the minimum number of TCAM writes: rows whose match key and action data
+// are already installed cost nothing, rows whose key exists but whose data
+// changed cost one action rewrite, and only genuinely new/stale rows cost an
+// insert/delete. This models a real switch driver, which diffs against its
+// shadow copy instead of re-flashing the table (and is what keeps the
 // paper's Table II write counts low).
 //
-// Partial-failure contract: row writes are issued in update, delete, insert
-// order, and when one fails (a write hook error) ApplyRows stops and returns
-// the error with every earlier write still applied — exactly how a
-// non-transactional driver leaves a table. Callers that need all-or-nothing
-// semantics must use ApplyRowsAtomic.
-//
-// The end state on success is identical to ReplaceAll(rows); only the write
-// accounting differs.
-func (t *Table) ApplyRows(rows []Row) (writes int, err error) {
-	for _, r := range rows {
-		if err := t.validateFields(r.Fields); err != nil {
-			return 0, err
-		}
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	writes, err = t.applyRowsLocked(rows)
-	if err == nil {
-		t.generation++
-	}
-	// A partial failure still mutated the table, so the index must be
-	// recompiled either way.
-	t.dirtyLocked()
-	return writes, err
-}
-
-// ApplyRowsAtomic is ApplyRows with transactional semantics: the
-// reconciliation is staged against a shadow snapshot of the table, and on
-// any row-write failure the table (entries, counters, generation) is
-// restored to its pre-call state. This models rebuilding the calculation
-// population into a shadow generation and committing it atomically, so a
-// data-plane lookup never observes a partially populated table.
+// The reconciliation is transactional: it is staged against a shadow
+// snapshot of the table, and on any row-write failure the table (entries,
+// counters, generation) is restored to its pre-call state. This models
+// rebuilding the calculation population into a shadow generation and
+// committing it atomically, so a data-plane lookup never observes a
+// partially populated table.
 func (t *Table) ApplyRowsAtomic(rows []Row) (writes int, err error) {
 	for _, r := range rows {
 		if err := t.validateFields(r.Fields); err != nil {
@@ -692,8 +616,9 @@ func (t *Table) ApplyRowsAtomic(rows []Row) (writes int, err error) {
 	return writes, nil
 }
 
-// applyRowsLocked is the shared reconciliation. On a row-write failure it
-// returns immediately with earlier writes applied; t.mu must be held.
+// applyRowsLocked is ApplyRowsAtomic's reconciliation. On a row-write
+// failure it returns immediately with earlier writes applied; t.mu must be
+// held.
 func (t *Table) applyRowsLocked(rows []Row) (writes int, err error) {
 	if t.capacity > 0 && len(rows) > t.capacity {
 		return 0, &CapacityError{Table: t.name, Capacity: t.capacity, Installed: len(t.entries), Requested: len(rows)}
@@ -751,7 +676,7 @@ func (t *Table) applyRowsLocked(rows []Row) (writes int, err error) {
 
 // ApplyDelta applies an incremental reconciliation: deletes removes installed
 // rows by match key, upserts installs new rows or rewrites the action data of
-// rows already installed under the same key. Unlike ApplyRows* it never
+// rows already installed under the same key. Unlike ApplyRowsAtomic it never
 // visits unchanged entries, so a converged round costs O(delta), not
 // O(table).
 //
@@ -938,8 +863,8 @@ func dataEqual(a, b any) bool {
 	return reflect.DeepEqual(a, b)
 }
 
-// Row is the insert-time description of an entry, used by ReplaceAll and
-// ApplyRows.
+// Row is the insert-time description of an entry, used by the bulk writes
+// (ApplyRowsAtomic, ApplyDelta) and the audit repair.
 type Row struct {
 	Fields   []Field
 	Priority int

@@ -183,6 +183,8 @@ func TestFieldValidation(t *testing.T) {
 	}
 }
 
+// TestReplaceAll: a full reload through ApplyRowsAtomic replaces the table
+// contents, and an over-capacity reload fails without touching them.
 func TestReplaceAll(t *testing.T) {
 	tb := MustNew("t", 4, 3)
 	p1, _ := bitstr.Parse("0xx")
@@ -190,12 +192,12 @@ func TestReplaceAll(t *testing.T) {
 	if _, err := tb.InsertPrefix(p1, 0, "old"); err != nil {
 		t.Fatal(err)
 	}
-	writes, err := tb.ReplaceAll([]Row{RowFromPrefix(p1, "a"), RowFromPrefix(p2, "b")})
+	writes, err := tb.ApplyRowsAtomic([]Row{RowFromPrefix(p1, "a"), RowFromPrefix(p2, "b")})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if writes != 3 { // 1 delete + 2 inserts
-		t.Errorf("writes = %d, want 3", writes)
+	if writes != 2 { // 1 action rewrite + 1 insert
+		t.Errorf("writes = %d, want 2", writes)
 	}
 	if tb.Len() != 2 {
 		t.Errorf("Len = %d, want 2", tb.Len())
@@ -209,11 +211,11 @@ func TestReplaceAll(t *testing.T) {
 	for i := range rows {
 		rows[i] = RowFromPrefix(p1, i)
 	}
-	if _, err := tb.ReplaceAll(rows); !errors.Is(err, ErrCapacity) {
-		t.Fatalf("over-capacity ReplaceAll error = %v, want ErrCapacity", err)
+	if _, err := tb.ApplyRowsAtomic(rows); !errors.Is(err, ErrCapacity) {
+		t.Fatalf("over-capacity ApplyRowsAtomic error = %v, want ErrCapacity", err)
 	}
 	if tb.Len() != 2 {
-		t.Errorf("table mutated by failed ReplaceAll: Len = %d", tb.Len())
+		t.Errorf("table mutated by failed ApplyRowsAtomic: Len = %d", tb.Len())
 	}
 }
 

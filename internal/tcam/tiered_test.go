@@ -330,7 +330,7 @@ func TestTieredRebalance(t *testing.T) {
 
 	// Heat = the row's low interval bound, so the hottest rows are the ones
 	// covering the top of the domain — deterministic and mostly not the ones
-	// ApplyRows placed hot (it fills in row order from the bottom).
+	// ApplyRowsAtomic placed hot (it fills in row order from the bottom).
 	heat := func(fields []Field, _ int) uint64 { return fields[0].Value }
 	version := ts.Version()
 	moves, err := ts.Rebalance(heat)
