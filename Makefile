@@ -30,41 +30,41 @@ bench:
 # baseline.
 bench-lookup:
 	$(GO) test -bench 'Lookup' -benchmem -run '^$$' ./internal/tcam
-	$(GO) run ./cmd/adabench -lookup-out BENCH_lookup.json lookup
+	$(GO) run ./cmd/adabench -out . lookup
 
 # Control-round benchmarks (incremental vs full repopulation) plus the
 # committed BENCH_round.json baseline. adabench exits non-zero when the
 # converged round is less than 5x faster than full repopulation.
 bench-round:
 	$(GO) test -bench 'Round' -benchmem -run '^$$' ./internal/experiments
-	$(GO) run ./cmd/adabench -round-out BENCH_round.json roundbench
+	$(GO) run ./cmd/adabench -out . round
 
 # Multi-tenant arbitration: elastic vs static split on one shared table,
 # plus the committed BENCH_tenant.json baseline.
 bench-tenant:
 	$(GO) test -run TenantBench -v ./internal/experiments
-	$(GO) run ./cmd/adabench -tenant-out BENCH_tenant.json tenant
+	$(GO) run ./cmd/adabench -out . tenant
 
 # Failure model v2: silent-corruption detection latency, anti-entropy
 # repair writes vs full repopulation, and the arithmetic error of the
 # corruption window, plus the committed BENCH_recovery.json artefact.
 bench-recovery:
 	$(GO) test -run TestRecoveryBenchAcceptance -v ./internal/experiments
-	$(GO) run ./cmd/adabench -recovery-out BENCH_recovery.json recovery
+	$(GO) run ./cmd/adabench -out . recovery
 
 # Tiered TCAM+SRAM store: error-vs-budget sweep extending 10× past the
 # TCAM slice at unchanged ternary capacity, the fingerprint differential
 # against the pure table, and the committed BENCH_tiered.json artefact.
 bench-tiered:
 	$(GO) test -run 'TestTieredBenchAcceptance|TestTieredDifferential' -v ./internal/experiments
-	$(GO) run ./cmd/adabench -tiered-out BENCH_tiered.json tiered
+	$(GO) run ./cmd/adabench -out . tiered
 
 # Sharded multi-switch fabric: elastic rebalancing vs static placement at
-# 64 switches, the replay-scaling grid, and round latency under per-switch
-# faults, plus the committed BENCH_fabric.json artefact.
+# 64 switches, measured replay throughput, and round latency under
+# per-switch faults, plus the committed BENCH_fabric.json artefact.
 bench-fabric:
 	$(GO) test -run TestFabricBenchElasticBeatsStatic -v ./internal/experiments
-	$(GO) run ./cmd/adabench -fabric-out BENCH_fabric.json fabric
+	$(GO) run ./cmd/adabench -out . fabric
 
 # Service-mode soak: drift-paced control rounds vs the paper's fixed
 # repopulation cadence over identical streams, with tenant churn, injected
@@ -72,7 +72,7 @@ bench-fabric:
 # the committed BENCH_serve.json artefact.
 bench-serve:
 	$(GO) test -run TestServeBenchAcceptance -v ./internal/experiments
-	$(GO) run ./cmd/adabench -serve-out BENCH_serve.json serve
+	$(GO) run ./cmd/adabench -out . serve
 
 # Lookup-cache hot path: the Zipf × cache-size sweep with cached-vs-uncached
 # throughput, standalone dedup rows, the 500-round bitwise differential
@@ -82,7 +82,7 @@ bench-serve:
 # speedup is below 2x.
 bench-cache:
 	$(GO) test -run TestCacheBenchAcceptance -v -timeout 30m ./internal/experiments
-	$(GO) run ./cmd/adabench -cache-out BENCH_cache.json cache
+	$(GO) run ./cmd/adabench -out . cache
 
 # A/B comparison capture for benchstat. Run once before a change and once
 # after, then diff:

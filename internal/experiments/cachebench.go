@@ -496,9 +496,3 @@ func RenderCacheBench(res CacheBenchResult) string {
 		d.Rounds, d.SamplesCompared, d.DegradedRounds, d.Audits, d.Restarted, d.Invalidations)
 	return out
 }
-
-// WriteCacheBenchJSON writes the result as the committed BENCH_cache.json
-// artefact.
-func WriteCacheBenchJSON(path string, res CacheBenchResult) error {
-	return WriteBenchJSON(path, res)
-}

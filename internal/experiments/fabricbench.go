@@ -41,8 +41,8 @@ type FabricBenchConfig struct {
 	// EvalSamples is the operands drawn per tenant per measured round for
 	// the error estimate.
 	EvalSamples int
-	// Workers is the fabric's control worker pool and the top of the replay
-	// throughput grid.
+	// Workers is the fabric's control worker pool and the replay worker
+	// count of the throughput measurement.
 	Workers int
 	// BatchSize is the sharded-replay flush threshold.
 	BatchSize int
@@ -56,7 +56,7 @@ type FabricBenchConfig struct {
 	// injected outage+latency driver profile, in both modes.
 	FaultySwitches int
 	// ThroughputSamples sizes the post-run stream used for the throughput
-	// demand measurement.
+	// measurement.
 	ThroughputSamples int
 	// Seed seeds every stream; both modes replay identical operands.
 	Seed int64
@@ -82,15 +82,6 @@ func DefaultFabricBenchConfig() FabricBenchConfig {
 		ThroughputSamples: 200000,
 		Seed:              1,
 	}
-}
-
-// FabricThroughputRow is aggregate replay throughput at one worker count,
-// from the service-demand model: per-switch ingest demand is measured
-// sequentially in isolation, then scheduled LPT onto the worker lanes —
-// deterministic on any host, including ones with fewer cores than workers.
-type FabricThroughputRow struct {
-	Workers       int     `json:"workers"`
-	LookupsPerSec float64 `json:"model_lookups_per_sec"`
 }
 
 // FabricLatency summarises per-switch modelled round delays across a mode's
@@ -128,13 +119,9 @@ type FabricBenchResult struct {
 	StaticLatency  FabricLatency `json:"static_round_latency"`
 	ElasticLatency FabricLatency `json:"elastic_round_latency"`
 
-	// Throughput holds the replay-scaling grid; ModelScaling is the last
-	// row's throughput over the first's (1 -> Workers scaling). Measured*
-	// reports an honest wall-clock concurrent replay on this host for
-	// reference (bounded by its real core count, unlike the model).
-	Throughput            []FabricThroughputRow `json:"throughput"`
-	ModelScaling          float64               `json:"model_scaling_1_to_max"`
-	MeasuredLookupsPerSec float64               `json:"measured_lookups_per_sec"`
+	// MeasuredLookupsPerSec is the wall-clock rate of a concurrent sharded
+	// replay with Workers workers on the host that ran the benchmark.
+	MeasuredLookupsPerSec float64 `json:"measured_lookups_per_sec"`
 }
 
 // fabricWorkload is one tenant's op and drifting operand distribution.
@@ -348,14 +335,10 @@ func runFabricBenchMode(cfg FabricBenchConfig, elastic bool) (*fabric.Fabric, fl
 	return f, agg, lat, migrations, nil
 }
 
-// fabricThroughput measures the aggregate replay-scaling grid on the final
-// elastic fabric. Per-switch ingest service demand is timed sequentially
-// (each switch's share of a fresh stream, in isolation), then the demands
-// are scheduled LPT onto 1..Workers lanes: throughput(W) = samples /
-// makespan(W). The model is exact for this embarrassingly-parallel fan-out
-// and — unlike a wall clock — holds on hosts with fewer cores than workers.
-// The honest measured number for this host is reported alongside.
-func fabricThroughput(cfg FabricBenchConfig, f *fabric.Fabric, workloads []fabricWorkload) ([]FabricThroughputRow, float64, float64) {
+// fabricThroughput measures the wall-clock aggregate replay rate of the
+// final elastic fabric: a fresh stream, sharded by home switch, replayed by
+// cfg.Workers workers.
+func fabricThroughput(cfg FabricBenchConfig, f *fabric.Fabric, workloads []fabricWorkload) float64 {
 	rng := rand.New(rand.NewSource(cfg.Seed + 999331))
 	stream := make([]uint64, 0, cfg.ThroughputSamples)
 	for len(stream) < cfg.ThroughputSamples {
@@ -363,44 +346,6 @@ func fabricThroughput(cfg FabricBenchConfig, f *fabric.Fabric, workloads []fabri
 		stream = append(stream, fabric.Pack(ti, workloads[ti].sample(rng, 1.0)))
 	}
 	snap := f.RouteSnapshot(nil)
-
-	// Split the stream per switch and time each switch's ingest alone.
-	perSwitch := make([][]uint64, f.NumSwitches())
-	for _, p := range stream {
-		sw := snap[p>>32]
-		perSwitch[sw] = append(perSwitch[sw], p)
-	}
-	var sc fabric.IngestScratch
-	demands := make([]time.Duration, 0, len(perSwitch))
-	for _, svs := range perSwitch {
-		if len(svs) == 0 {
-			continue
-		}
-		start := time.Now()
-		for lo := 0; lo < len(svs); lo += cfg.BatchSize {
-			hi := lo + cfg.BatchSize
-			if hi > len(svs) {
-				hi = len(svs)
-			}
-			f.ObserveEvalPacked(svs[lo:hi], &sc, nil)
-		}
-		demands = append(demands, time.Since(start))
-	}
-
-	var rows []FabricThroughputRow
-	for w := 1; w <= cfg.Workers; w *= 2 {
-		span := fabric.Makespan(demands, w)
-		rows = append(rows, FabricThroughputRow{
-			Workers:       w,
-			LookupsPerSec: float64(len(stream)) / span.Seconds(),
-		})
-	}
-	scaling := 0.0
-	if len(rows) > 1 && rows[0].LookupsPerSec > 0 {
-		scaling = rows[len(rows)-1].LookupsPerSec / rows[0].LookupsPerSec
-	}
-
-	// Honest concurrent wall measurement on this host.
 	sr := netsim.NewShardedReplay(f.NumSwitches(), cfg.BatchSize)
 	scratch := make([]fabric.IngestScratch, cfg.Workers)
 	route := func(p uint64) int { return snap[p>>32] }
@@ -408,12 +353,11 @@ func fabricThroughput(cfg FabricBenchConfig, f *fabric.Fabric, workloads []fabri
 	sr.Replay(cfg.Workers, stream, route, func(w, shard int, batch []uint64) {
 		f.ObserveEvalPacked(batch, &scratch[w], nil)
 	})
-	measured := float64(len(stream)) / time.Since(start).Seconds()
-	return rows, scaling, measured
+	return float64(len(stream)) / time.Since(start).Seconds()
 }
 
 // RunFabricBench runs the static and elastic fabrics over identical streams
-// and assembles the comparison plus the throughput model.
+// and assembles the comparison plus the measured replay throughput.
 func RunFabricBench(cfg FabricBenchConfig) (*FabricBenchResult, error) {
 	fStatic, staticAgg, staticLat, _, err := runFabricBenchMode(cfg, false)
 	if err != nil {
@@ -442,15 +386,8 @@ func RunFabricBench(cfg FabricBenchConfig) (*FabricBenchResult, error) {
 	if res.ElasticAggregate > 0 {
 		res.Improvement = res.StaticAggregate / res.ElasticAggregate
 	}
-	res.Throughput, res.ModelScaling, res.MeasuredLookupsPerSec =
-		fabricThroughput(cfg, fElastic, fabricWorkloads(cfg.Tenants))
+	res.MeasuredLookupsPerSec = fabricThroughput(cfg, fElastic, fabricWorkloads(cfg.Tenants))
 	return res, nil
-}
-
-// WriteFabricBenchJSON writes the result as the committed BENCH_fabric.json
-// artefact.
-func WriteFabricBenchJSON(path string, res *FabricBenchResult) error {
-	return WriteBenchJSON(path, res)
 }
 
 // RenderFabricBench formats the result.
@@ -468,13 +405,7 @@ func RenderFabricBench(res *FabricBenchResult) string {
 	out := t.String()
 	out += fmt.Sprintf("\nmigrations: %d, improvement: %.2fx better aggregate error\n",
 		res.Migrations, res.Improvement)
-	tp := stats.NewTable("Aggregate replay throughput (service-demand model, LPT schedule)",
-		"workers", "lookups/s")
-	for _, r := range res.Throughput {
-		tp.AddF(r.Workers, fmt.Sprintf("%.0f", r.LookupsPerSec))
-	}
-	out += "\n" + tp.String()
-	out += fmt.Sprintf("\nmodel scaling 1->%d workers: %.2fx (measured on this host: %.0f lookups/s)\n",
-		res.Workers, res.ModelScaling, res.MeasuredLookupsPerSec)
+	out += fmt.Sprintf("measured replay throughput (%d workers, this host): %.0f lookups/s\n",
+		res.Workers, res.MeasuredLookupsPerSec)
 	return out
 }

@@ -180,12 +180,6 @@ func RunLookupBench(cfg LookupBenchConfig) ([]LookupBenchRow, error) {
 	return rows, nil
 }
 
-// WriteLookupBenchJSON writes the rows as an indented JSON baseline (the
-// committed BENCH_lookup.json artefact).
-func WriteLookupBenchJSON(path string, rows []LookupBenchRow) error {
-	return WriteBenchJSON(path, rows)
-}
-
 // RenderLookupBench formats the rows.
 func RenderLookupBench(rows []LookupBenchRow) string {
 	t := stats.NewTable("Lookup microbenchmark: compiled index vs reference linear scan (ns per lookup)",

@@ -35,7 +35,7 @@ func TestRunLookupBenchSmall(t *testing.T) {
 	}
 
 	path := filepath.Join(t.TempDir(), "bench.json")
-	if err := WriteLookupBenchJSON(path, rows); err != nil {
+	if err := WriteBenchJSON(path, rows); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)

@@ -214,12 +214,6 @@ func RunRecoveryBench(cfg RecoveryBenchConfig) ([]RecoveryBenchRow, error) {
 	return rows, nil
 }
 
-// WriteRecoveryBenchJSON writes the rows as the committed
-// BENCH_recovery.json artefact.
-func WriteRecoveryBenchJSON(path string, rows []RecoveryBenchRow) error {
-	return WriteBenchJSON(path, rows)
-}
-
 // RenderRecoveryBench formats the rows.
 func RenderRecoveryBench(rows []RecoveryBenchRow) string {
 	t := stats.NewTable("Silent corruption recovery: read-back audit + anti-entropy repair",

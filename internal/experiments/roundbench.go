@@ -177,12 +177,6 @@ func RunRoundBench(cfg RoundBenchConfig) ([]RoundBenchRow, error) {
 	return rows, nil
 }
 
-// WriteRoundBenchJSON writes the rows as an indented JSON baseline (the
-// committed BENCH_round.json artefact).
-func WriteRoundBenchJSON(path string, rows []RoundBenchRow) error {
-	return WriteBenchJSON(path, rows)
-}
-
 // RenderRoundBench formats the rows.
 func RenderRoundBench(rows []RoundBenchRow) string {
 	t := stats.NewTable("Control-round microbenchmark: incremental vs full repopulation (per round)",

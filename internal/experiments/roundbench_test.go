@@ -19,7 +19,7 @@ func shortRoundBenchConfig() RoundBenchConfig {
 // incremental round must recompute and write nothing, and no churn level
 // may recompute more than full repopulation. The wall-clock floor (≥5× over
 // full repopulation at the 1024-entry budget) is enforced by
-// `adabench roundbench` (make bench-round), which exits non-zero below it.
+// `adabench round` (make bench-round), which exits non-zero below it.
 func TestRoundBenchAcceptance(t *testing.T) {
 	cfg := DefaultRoundBenchConfig()
 	if testing.Short() {

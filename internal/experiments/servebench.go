@@ -71,10 +71,6 @@ type ServeBenchConfig struct {
 	// hot-key lookup cache of this many slots (0 = uncached); the serve
 	// registry then exports the ada_lookup_cache_* counters.
 	LookupCacheEntries int
-	// ZipfS, when positive, replaces the peaked operand noise with a
-	// bounded Zipf draw of this exponent shifted by the phase peak, so
-	// skew and drift compose. 0 keeps the historical peaked streams.
-	ZipfS float64
 	// Seed drives the workload generator; both modes replay the same
 	// stream.
 	Seed int64
@@ -139,12 +135,11 @@ type ServeBenchMode struct {
 	// AllocsPerBatch is the steady-state ingest allocation rate measured
 	// over the post-soak pure-ingest window.
 	AllocsPerBatch float64 `json:"allocs_per_batch"`
-	// ZipfS echoes the stream skew; the cache counters sum the
-	// ada_lookup_cache_* metrics across tenants at soak end.
-	ZipfS              float64 `json:"zipf_s"`
-	CacheHits          uint64  `json:"cache_hits"`
-	CacheMisses        uint64  `json:"cache_misses"`
-	CacheInvalidations uint64  `json:"cache_invalidations"`
+	// The cache counters sum the ada_lookup_cache_* metrics across tenants
+	// at soak end.
+	CacheHits          uint64 `json:"cache_hits"`
+	CacheMisses        uint64 `json:"cache_misses"`
+	CacheInvalidations uint64 `json:"cache_invalidations"`
 	// LeakedGoroutines is the post-Close goroutine delta against the
 	// pre-soak baseline (after settling).
 	LeakedGoroutines int `json:"leaked_goroutines"`
@@ -288,16 +283,7 @@ func runServeMode(cfg ServeBenchConfig, adaptive bool) (ServeBenchMode, error) {
 	max := uint64(1)<<uint(cfg.Width) - 1
 	spread := max/16 + 1
 	xs := make([]uint64, cfg.BatchSize)
-	zs := newZipf(rng.Float64, cfg.Width, cfg.ZipfS)
 	fill := func(peak uint64) {
-		if cfg.ZipfS > 0 {
-			// Zipf ranks shifted by the phase peak: the hot set stays
-			// heavy-tailed but moves with the drift phases.
-			for j := range xs {
-				xs[j] = (peak + zs.Next()) & max
-			}
-			return
-		}
 		for j := range xs {
 			d := int64(rng.Uint64()%spread) - int64(rng.Uint64()%spread)
 			v := int64(peak) + d
@@ -452,7 +438,6 @@ func runServeMode(cfg ServeBenchConfig, adaptive bool) (ServeBenchMode, error) {
 		mode.CacheMisses += uint64(snap[fmt.Sprintf(`ada_lookup_cache_misses_total{tenant="%s"}`, name)])
 		mode.CacheInvalidations += uint64(snap[fmt.Sprintf(`ada_lookup_cache_invalidations_total{tenant="%s"}`, name)])
 	}
-	mode.ZipfS = cfg.ZipfS
 	mode.Batches = uint64(snap["ada_serve_batch_seconds_count"])
 	mode.MaxWindowWrites = maxWindowSum(writesPerTick, cfg.BudgetWindowTicks)
 	if warm := cfg.BudgetWindowTicks; warm < len(meteredPerTick) {
@@ -535,10 +520,4 @@ func RenderServeBench(res ServeBenchResult) string {
 			100*float64(res.Adaptive.CacheHits)/float64(tot), res.Adaptive.CacheInvalidations)
 	}
 	return out
-}
-
-// WriteServeBenchJSON writes the result as the committed BENCH_serve.json
-// baseline.
-func WriteServeBenchJSON(path string, res ServeBenchResult) error {
-	return WriteBenchJSON(path, res)
 }

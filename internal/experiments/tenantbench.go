@@ -302,12 +302,6 @@ func RunTenantBench(cfg TenantBenchConfig) (*TenantBenchResult, error) {
 	return res, nil
 }
 
-// WriteTenantBenchJSON writes the result as an indented JSON baseline (the
-// committed BENCH_tenant.json artefact).
-func WriteTenantBenchJSON(path string, res *TenantBenchResult) error {
-	return WriteBenchJSON(path, res)
-}
-
 // RenderTenantBench formats the result.
 func RenderTenantBench(res *TenantBenchResult) string {
 	t := stats.NewTable(

@@ -219,13 +219,6 @@ func TieredDifferential(cfg TieredBenchConfig, budget int) (int, error) {
 	return cfg.Rounds, nil
 }
 
-// WriteTieredBenchJSON writes the rows as an indented JSON baseline (the
-// committed BENCH_tiered.json artefact). Struct keys in declaration order,
-// no wall-clock timestamps: reruns with the same config are byte-identical.
-func WriteTieredBenchJSON(path string, rows []TieredBenchRow) error {
-	return WriteBenchJSON(path, rows)
-}
-
 // RenderTieredBench formats the rows.
 func RenderTieredBench(rows []TieredBenchRow) string {
 	t := stats.NewTable("Error vs calculation budget: pure TCAM vs tiered TCAM+SRAM (x², drifting Gaussian)",

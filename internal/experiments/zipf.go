@@ -11,8 +11,7 @@ import "math"
 //	k = N^u                               (s = 1)
 //
 // gives k in [1, N] with P(rank) ∝ rank^-s. s <= 0 degenerates to a uniform
-// draw, which keeps a zero-valued skew flag exactly equivalent to the
-// pre-existing uniform streams.
+// draw.
 //
 // Rank 0 is the hottest value. Ranks map to operand keys by multiplication
 // with an odd constant modulo 2^width — a bijection, so the hot set is
