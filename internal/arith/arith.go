@@ -200,25 +200,6 @@ func (e *UnaryEngine) Reload(entries []population.UnaryEntry) (int, error) {
 	return e.store.ApplyRowsAtomic(rows)
 }
 
-// ReloadDelta incrementally reconciles the table: add entries are installed
-// (or their action data rewritten when the prefix is already present), remove
-// entries are deleted by match key (their Result is ignored). The operation
-// is transactional — a failure leaves the previous population fully intact —
-// and returns the TCAM write count. It returns tcam.ErrDeltaConflict when the
-// caller's shadow copy diverged from the table; the caller must then fall
-// back to a full Reload.
-func (e *UnaryEngine) ReloadDelta(add, remove []population.UnaryEntry) (int, error) {
-	upserts := make([]tcam.Row, len(add))
-	for i, en := range add {
-		upserts[i] = tcam.RowFromPrefix(en.P, en.Result)
-	}
-	deletes := make([]tcam.Row, len(remove))
-	for i, en := range remove {
-		deletes[i] = tcam.RowFromPrefix(en.P, nil)
-	}
-	return e.store.ApplyDelta(upserts, deletes)
-}
-
 // Eval resolves one operand as a batch of one through the lookup
 // EvalBatchInto uses and returns the precomputed result. A miss is ErrMiss;
 // action data that is not a uint64 or non-negative int is ErrResultType.
@@ -497,25 +478,6 @@ func (e *BinaryEngine) Reload(entries []population.BinaryEntry) (int, error) {
 		}
 	}
 	return e.store.ApplyRowsAtomic(rows)
-}
-
-// ReloadDelta is the two-field form of the unary ReloadDelta: transactional
-// incremental reconciliation, with remove entries matched by key only.
-func (e *BinaryEngine) ReloadDelta(add, remove []population.BinaryEntry) (int, error) {
-	upserts := make([]tcam.Row, len(add))
-	for i, en := range add {
-		upserts[i] = tcam.Row{
-			Fields: []tcam.Field{tcam.FieldFromPrefix(en.X), tcam.FieldFromPrefix(en.Y)},
-			Data:   en.Result,
-		}
-	}
-	deletes := make([]tcam.Row, len(remove))
-	for i, en := range remove {
-		deletes[i] = tcam.Row{
-			Fields: []tcam.Field{tcam.FieldFromPrefix(en.X), tcam.FieldFromPrefix(en.Y)},
-		}
-	}
-	return e.store.ApplyDelta(upserts, deletes)
 }
 
 // Eval resolves one operand pair as a batch of one through the lookup

@@ -1,11 +1,15 @@
 package core
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
 	"github.com/ada-repro/ada/internal/arith"
+	"github.com/ada-repro/ada/internal/controlplane"
 	"github.com/ada-repro/ada/internal/faults"
+	"github.com/ada-repro/ada/internal/tcam"
+	"github.com/ada-repro/ada/internal/trie"
 )
 
 // drawRound generates one round of operand traffic. The distribution centre
@@ -186,5 +190,108 @@ func TestIncrementalBinaryDifferential(t *testing.T) {
 		if inc.Engine().Table().Fingerprint() != full.Engine().Table().Fingerprint() {
 			t.Fatalf("round %d: joint calculation tables diverge", round)
 		}
+	}
+}
+
+// ackDropDriver reports every calculation populate as failed after it
+// landed, while *drop is set: the dropped-ack fault, scripted.
+type ackDropDriver struct {
+	controlplane.Driver
+	drop *bool
+}
+
+func (d *ackDropDriver) PopulateCalc(tr *trie.Trie, budget int) (int, int, error) {
+	w, c, err := d.Driver.PopulateCalc(tr, budget)
+	if err == nil && *d.drop {
+		return 0, 0, errors.New("ack dropped")
+	}
+	return w, c, err
+}
+
+func (d *ackDropDriver) PopulateCalcDelta(tr *trie.Trie, budget int) (int, int, int, error) {
+	w, c, r, err := d.Driver.(controlplane.DeltaPopulator).PopulateCalcDelta(tr, budget)
+	if err == nil && *d.drop {
+		return 0, 0, 0, errors.New("ack dropped")
+	}
+	return w, c, r, err
+}
+
+// TestIncrementalAfterLandedFailedPopulate: a round whose populate landed
+// but reported failure degrades, and the next round reshapes a new clone of
+// the same committed trie. With the bin layout pinned, both rounds' clones
+// change the same number of leaves, to different hit masses; the
+// incremental path must still build the second round's population, not
+// reuse the landed one.
+func TestIncrementalAfterLandedFailedPopulate(t *testing.T) {
+	for _, binary := range []bool{false, true} {
+		name := "unary"
+		if binary {
+			name = "binary"
+		}
+		t.Run(name, func(t *testing.T) {
+			drop := false
+			type system interface {
+				Sync() (SyncReport, error)
+			}
+			var observe []func([]uint64)
+			var tables []tcam.Store
+			var systems []system
+			for _, disable := range []bool{false, true} {
+				cfg := DefaultConfig(16)
+				cfg.MonitorEntries = 8
+				cfg.CalcEntries = 128
+				cfg.ThBalance = 1   // never reshape ...
+				cfg.ThExpansion = 0 // ... or grow: only hit masses move
+				cfg.DisableIncremental = disable
+				cfg.WrapDriver = func(d controlplane.Driver) controlplane.Driver {
+					return &ackDropDriver{Driver: d, drop: &drop}
+				}
+				if binary {
+					s, err := NewBinary(cfg, arith.OpMul)
+					if err != nil {
+						t.Fatal(err)
+					}
+					// Only y sees traffic, so x's trie never moves and
+					// y's clones alone decide the joint build.
+					observe = append(observe, func(vs []uint64) { s.ObserveAll(nil, vs) })
+					tables, systems = append(tables, s.Engine().Store()), append(systems, s)
+				} else {
+					s, err := NewUnary(cfg, arith.OpSquare)
+					if err != nil {
+						t.Fatal(err)
+					}
+					observe = append(observe, s.ObserveAll)
+					tables, systems = append(tables, s.Engine().Store()), append(systems, s)
+				}
+			}
+			rng := rand.New(rand.NewSource(1))
+			round := func(lo, hi int, wantDegraded bool) {
+				t.Helper()
+				vs := make([]uint64, 4000)
+				for i := range vs {
+					vs[i] = uint64(lo + rng.Intn(hi-lo))
+				}
+				for _, o := range observe {
+					o(vs)
+				}
+				for _, s := range systems {
+					rep, err := s.Sync()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if rep.Degraded != wantDegraded {
+						t.Fatalf("degraded = %v, want %v", rep.Degraded, wantDegraded)
+					}
+				}
+				if tables[0].Fingerprint() != tables[1].Fingerprint() {
+					t.Fatal("incremental and full calculation tables diverge")
+				}
+			}
+			round(0, 1<<16, false)
+			drop = true
+			round(0, 1<<13, true)
+			drop = false
+			round(60000, 1<<16, false)
+		})
 	}
 }

@@ -214,3 +214,21 @@ func TestAggregateHitsDoesNotDirty(t *testing.T) {
 		t.Fatal("AggregateHits marked dirty state; it only touches internal nodes")
 	}
 }
+
+// TestClonesNeverShareChangeSeq: two clones of one trie that mutate the same
+// number of leaves to different content must not share a ChangeSeq, or a
+// memo keyed on it would serve one clone's population for the other (two
+// control rounds' shadow clones of one committed trie are exactly this).
+func TestClonesNeverShareChangeSeq(t *testing.T) {
+	tr := mustTrie(t, 4, 8)
+	a, b := tr.Clone(), tr.Clone()
+	if err := a.SetLeafHits([]uint64{1, 2, 3, 4}); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.SetLeafHits([]uint64{4, 3, 2, 1}); err != nil {
+		t.Fatal(err)
+	}
+	if a.ChangeSeq() == b.ChangeSeq() {
+		t.Fatalf("clones with different content share ChangeSeq %d", a.ChangeSeq())
+	}
+}

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"sync/atomic"
 
 	"github.com/ada-repro/ada/internal/bitstr"
 )
@@ -84,12 +85,18 @@ type Trie struct {
 	// the last CommitGeneration. A split or merge marks the enclosing parent
 	// prefix, which covers every leaf the reshape touched.
 	dirty map[bitstr.Prefix]struct{}
-	// seq advances on every dirty-marking mutation; gen advances on every
-	// CommitGeneration; commitSeq records seq as of the last commit.
+	// seq takes a fresh changeSeq value on every dirty-marking mutation;
+	// gen advances on every CommitGeneration; commitSeq records seq as of
+	// the last commit.
 	seq       uint64
 	gen       uint64
 	commitSeq uint64
 }
+
+// changeSeq hands out ChangeSeq values. It is process-wide, so two tries
+// that mutate independently — two shadow clones of one committed trie, say
+// — never share a value.
+var changeSeq atomic.Uint64
 
 // markDirty records that the interval p changed shape or mass.
 func (t *Trie) markDirty(p bitstr.Prefix) {
@@ -97,7 +104,7 @@ func (t *Trie) markDirty(p bitstr.Prefix) {
 		t.dirty = make(map[bitstr.Prefix]struct{})
 	}
 	t.dirty[p] = struct{}{}
-	t.seq++
+	t.seq = changeSeq.Add(1)
 }
 
 // NewInitial runs Algorithm 1: given the monitoring entry budget m over
@@ -469,8 +476,10 @@ func (t *Trie) Dirty() []bitstr.Prefix {
 func (t *Trie) NumDirty() int { return len(t.dirty) }
 
 // ChangeSeq returns the monotonic mutation sequence: it advances on every
-// change to leaf shape or mass and never goes backward, so two observations
-// with equal ChangeSeq saw identical trie content.
+// change to leaf shape or mass and never goes backward. Values come from one
+// process-wide counter and a Clone carries its original's, so two
+// observations with equal ChangeSeq saw identical trie content — even of two
+// different clones of one trie.
 func (t *Trie) ChangeSeq() uint64 { return t.seq }
 
 // Generation returns the number of CommitGeneration calls.
