@@ -2,6 +2,7 @@ package trie
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"github.com/ada-repro/ada/internal/bitstr"
 )
@@ -34,7 +35,7 @@ func FromBins(width int, bins []Bin) (*Trie, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := &Trie{width: width, root: &Node{prefix: root}, leaves: len(bins)}
+	t := &Trie{width: width, root: &Node{prefix: root}, leaves: len(bins), seqs: new(atomic.Uint64)}
 	var build func(n *Node, bs []Bin) error
 	build = func(n *Node, bs []Bin) error {
 		if len(bs) == 1 && bs[0].Prefix == n.prefix {

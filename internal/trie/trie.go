@@ -85,18 +85,16 @@ type Trie struct {
 	// the last CommitGeneration. A split or merge marks the enclosing parent
 	// prefix, which covers every leaf the reshape touched.
 	dirty map[bitstr.Prefix]struct{}
-	// seq takes a fresh changeSeq value on every dirty-marking mutation;
+	// seq takes a fresh value from seqs on every dirty-marking mutation;
 	// gen advances on every CommitGeneration; commitSeq records seq as of
-	// the last commit.
+	// the last commit. seqs is shared by a trie and all its clones, so two
+	// clones that mutate independently — two rounds' shadow clones of one
+	// committed trie — never share a seq.
 	seq       uint64
+	seqs      *atomic.Uint64
 	gen       uint64
 	commitSeq uint64
 }
-
-// changeSeq hands out ChangeSeq values. It is process-wide, so two tries
-// that mutate independently — two shadow clones of one committed trie, say
-// — never share a value.
-var changeSeq atomic.Uint64
 
 // markDirty records that the interval p changed shape or mass.
 func (t *Trie) markDirty(p bitstr.Prefix) {
@@ -104,7 +102,7 @@ func (t *Trie) markDirty(p bitstr.Prefix) {
 		t.dirty = make(map[bitstr.Prefix]struct{})
 	}
 	t.dirty[p] = struct{}{}
-	t.seq = changeSeq.Add(1)
+	t.seq = t.seqs.Add(1)
 }
 
 // NewInitial runs Algorithm 1: given the monitoring entry budget m over
@@ -125,7 +123,7 @@ func NewInitial(m, width int) (*Trie, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := &Trie{width: width, root: &Node{prefix: root}, leaves: 1}
+	t := &Trie{width: width, root: &Node{prefix: root}, leaves: 1, seqs: new(atomic.Uint64)}
 	var grow func(n *Node, depth int) error
 	grow = func(n *Node, depth int) error {
 		if depth == 0 {
@@ -445,6 +443,7 @@ func (t *Trie) Clone() *Trie {
 		root:      copyNode(t.root),
 		leaves:    t.leaves,
 		seq:       t.seq,
+		seqs:      t.seqs,
 		gen:       t.gen,
 		commitSeq: t.commitSeq,
 	}
@@ -476,10 +475,9 @@ func (t *Trie) Dirty() []bitstr.Prefix {
 func (t *Trie) NumDirty() int { return len(t.dirty) }
 
 // ChangeSeq returns the monotonic mutation sequence: it advances on every
-// change to leaf shape or mass and never goes backward. Values come from one
-// process-wide counter and a Clone carries its original's, so two
-// observations with equal ChangeSeq saw identical trie content — even of two
-// different clones of one trie.
+// change to leaf shape or mass and never goes backward. A trie and its
+// clones draw values from one shared counter, so two observations with
+// equal ChangeSeq saw identical trie content, even of two different clones.
 func (t *Trie) ChangeSeq() uint64 { return t.seq }
 
 // Generation returns the number of CommitGeneration calls.
