@@ -1,12 +1,14 @@
 package core
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
 	"github.com/ada-repro/ada/internal/arith"
 	"github.com/ada-repro/ada/internal/bitstr"
 	"github.com/ada-repro/ada/internal/controlplane"
+	"github.com/ada-repro/ada/internal/tcam"
 	"github.com/ada-repro/ada/internal/trie"
 )
 
@@ -154,5 +156,61 @@ func TestBinaryDegradedXStillRebuildsJoint(t *testing.T) {
 	}
 	if _, err := s.Lookup(300, 150); err != nil {
 		t.Errorf("lookup after the round: %v", err)
+	}
+}
+
+// TestBinaryFailedJointPopulateRollsBackY: a joint populate that fails
+// degrades y's round like any controller round: y's trie stays committed
+// where it was, its reshaped monitoring bins are rolled back, and the joint
+// table keeps serving its last population.
+func TestBinaryFailedJointPopulateRollsBackY(t *testing.T) {
+	cfg := DefaultConfig(10)
+	cfg.CalcEntries = 64
+	cfg.MonitorEntries = 4
+	s, err := NewBinary(cfg, arith.OpMul)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 2000; i++ {
+		v := uint64(300 + 40*rng.NormFloat64())
+		s.Observe(v, v/2)
+	}
+	yTrie, yBins := s.ControllerY().Trie(), s.ControllerY().Monitor().Table().Fingerprint()
+	fp := s.Engine().Table().Fingerprint()
+	s.Engine().Table().SetWriteHook(func(tcam.WriteOp) error { return errors.New("injected row-write failure") })
+	rep, err := s.Sync()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Degraded || rep.DegradedReason != controlplane.ReasonPopulate {
+		t.Fatalf("report = %+v, want degraded calc-populate", rep)
+	}
+	if s.ControllerY().Trie() != yTrie {
+		t.Error("y's trie moved although the joint populate failed")
+	}
+	if s.ControllerY().Monitor().Table().Fingerprint() != yBins {
+		t.Error("y's reshaped monitoring bins were not rolled back")
+	}
+	if s.Engine().Table().Fingerprint() != fp {
+		t.Error("joint table changed although its populate failed")
+	}
+}
+
+// TestBinarySetCalcBudgetIsTheControllers: the joint budget lives in y's
+// controller, which validates it like a unary system's.
+func TestBinarySetCalcBudgetIsTheControllers(t *testing.T) {
+	s, err := NewBinary(DefaultConfig(10), arith.OpMul)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SetCalcBudget(0); !errors.Is(err, controlplane.ErrConfig) {
+		t.Errorf("SetCalcBudget(0) = %v, want controlplane.ErrConfig", err)
+	}
+	if err := s.SetCalcBudget(96); err != nil {
+		t.Fatal(err)
+	}
+	if s.CalcBudget() != 96 || s.ControllerY().CalcBudget() != 96 {
+		t.Errorf("budget = %d (y controller %d), want 96", s.CalcBudget(), s.ControllerY().CalcBudget())
 	}
 }
