@@ -47,8 +47,8 @@
 // the bench gate.
 //
 // Invalid flag values (a negative -parallel, an -out that is not a
-// directory) are usage errors: adabench
-// prints the usage text and exits with status 2; experiment failures exit 1.
+// directory) are usage errors: adabench prints the usage text and exits
+// with status 2; experiment failures exit 1.
 package main
 
 import (
