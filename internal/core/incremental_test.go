@@ -295,3 +295,93 @@ func TestIncrementalAfterLandedFailedPopulate(t *testing.T) {
 		})
 	}
 }
+
+// TestIncrementalAfterFailedReshape: a round that reshapes towards one hot
+// bin and then fails its populate leaves the Algorithm 3 memo holding masses
+// of the discarded shadow clone. The next round's clone of the same
+// committed trie brings every bin but one back to its committed hit count,
+// so its dirty set does not cover the failed round's hot bin; the
+// incremental table must still match full repopulation, whether the failed
+// populate rolled back or landed with its ack dropped. The binary system
+// builds its joint table from y's clones.
+func TestIncrementalAfterFailedReshape(t *testing.T) {
+	for _, arity := range []string{"unary", "binary"} {
+		for _, landed := range []bool{false, true} {
+			name := arity + "/rolled-back"
+			if landed {
+				name = arity + "/landed"
+			}
+			t.Run(name, func(t *testing.T) {
+				drop := false
+				type system interface {
+					Sync() (SyncReport, error)
+				}
+				var (
+					observe []func([]uint64)
+					tables  []*tcam.Table
+					systems []system
+				)
+				for _, disable := range []bool{false, true} {
+					cfg := DefaultConfig(16)
+					cfg.MonitorEntries = 8
+					cfg.CalcEntries = 128
+					cfg.DisableIncremental = disable
+					cfg.WrapDriver = func(d controlplane.Driver) controlplane.Driver {
+						return &ackDropDriver{Driver: d, drop: &drop}
+					}
+					if arity == "binary" {
+						s, err := NewBinary(cfg, arith.OpMul)
+						if err != nil {
+							t.Fatal(err)
+						}
+						observe = append(observe, func(vs []uint64) { s.ObserveAll(nil, vs) })
+						tables, systems = append(tables, s.Engine().Table()), append(systems, s)
+					} else {
+						s, err := NewUnary(cfg, arith.OpSquare)
+						if err != nil {
+							t.Fatal(err)
+						}
+						observe = append(observe, s.ObserveAll)
+						tables, systems = append(tables, s.Engine().Table()), append(systems, s)
+					}
+				}
+				// round spreads counts[b] values evenly over the b-th of the
+				// eight initial bins.
+				round := func(counts [8]int, fail bool) {
+					t.Helper()
+					var vs []uint64
+					for b, n := range counts {
+						for j := 0; j < n; j++ {
+							vs = append(vs, uint64(b<<13+j*(1<<13)/n))
+						}
+					}
+					drop = fail && landed
+					var hook tcam.WriteHook
+					if fail && !landed {
+						hook = func(tcam.WriteOp) error { return errors.New("injected row-write failure") }
+					}
+					for i, s := range systems {
+						tables[i].SetWriteHook(hook)
+						observe[i](vs)
+						rep, err := s.Sync()
+						if err != nil {
+							t.Fatal(err)
+						}
+						if rep.Degraded != fail {
+							t.Fatalf("degraded = %v (%s), want %v", rep.Degraded, rep.DegradedReason, fail)
+						}
+						if fail && rep.Rebalances == 0 {
+							t.Fatal("the failing round did not reshape the trie")
+						}
+					}
+					if tables[0].Fingerprint() != tables[1].Fingerprint() {
+						t.Fatal("incremental and full calculation tables diverge")
+					}
+				}
+				round([8]int{500, 500, 500, 500, 500, 500, 500, 500}, false)
+				round([8]int{0, 0, 4000, 0, 0, 0, 0, 0}, true)
+				round([8]int{500, 500, 500, 500, 500, 500, 500, 600}, false)
+			})
+		}
+	}
+}

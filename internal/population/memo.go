@@ -19,16 +19,18 @@ import (
 //     mutation, so equal sequence numbers mean identical allocation inputs
 //     and the whole previous result can be returned as-is.
 //  2. massWithin(leaves, p) depends only on the leaves overlapping p, and
-//     every mutation to such a leaf marks a dirty prefix overlapping p; a
-//     cached mass whose prefix overlaps no dirty prefix is therefore still
-//     exact (same overlapping leaf set, same summation order, same float).
+//     every mutation to such a leaf since the trie's last commit marks a
+//     dirty prefix overlapping p; a mass cached at the committed state whose
+//     prefix overlaps no dirty prefix is therefore still exact (same
+//     overlapping leaf set, same summation order, same float).
 //  3. An entry's result f(rep.Pick(p)) is a pure function of its prefix, so
 //     the per-prefix evaluation cache never goes stale; only allocations
 //     change, never the value attached to a kept prefix.
 //
 // A memo instance is tied to one (operation, representative) pair: the
 // function itself cannot be fingerprinted, so reusing a memo across
-// different operations is a caller bug.
+// different operations is a caller bug. It is likewise tied to one trie and
+// its clones, whose change sequences it compares.
 
 // AllocCache memoizes ADAAllocate across control rounds. The zero value is
 // ready to use. It caches both the full allocation (reused wholesale when
@@ -40,7 +42,6 @@ type AllocCache struct {
 	width  int
 	budget int
 	seq    uint64 // trie ChangeSeq at fill time
-	gen    uint64 // trie Generation at fill time
 
 	prefixes []bitstr.Prefix
 	masses   map[bitstr.Prefix]float64
@@ -50,16 +51,15 @@ type AllocCache struct {
 func (c *AllocCache) Invalidate() { *c = AllocCache{} }
 
 // massesUsable reports whether the cached mass evaluations may seed the next
-// computation: the dirty set must cover every mutation since the cache was
-// filled. That holds when no commit intervened (the dirty set only grew), or
-// when exactly one commit intervened at precisely the cached state (the
-// dirty set restarted from it).
+// computation: the trie's dirty set is measured from its last commit, so it
+// covers every change since the cache was filled only when the cache was
+// filled at exactly that committed state. Sequence values are unique across
+// a trie and its clones, so a cache filled on a shadow clone that was then
+// discarded (a rolled-back control round) never matches the next clone of
+// the same committed trie, whose dirty set knows nothing of the discarded
+// clone's changes.
 func (c *AllocCache) massesUsable(t *trie.Trie) bool {
-	if !c.valid || c.width != t.Width() {
-		return false
-	}
-	g := t.Generation()
-	return g == c.gen || (g == c.gen+1 && t.CommittedSeq() == c.seq)
+	return c.valid && c.width == t.Width() && t.CommittedSeq() == c.seq
 }
 
 // ADAAllocateCached is ADAAllocate's incremental mode: identical output,
@@ -105,7 +105,7 @@ func ADAAllocateCached(t *trie.Trie, budget int, c *AllocCache) (prefixes []bits
 	}
 	c.valid = true
 	c.width, c.budget = t.Width(), budget
-	c.seq, c.gen = t.ChangeSeq(), t.Generation()
+	c.seq = t.ChangeSeq()
 	c.prefixes, c.masses = ps, cur
 	return ps, false, nil
 }

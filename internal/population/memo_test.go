@@ -106,6 +106,45 @@ func TestADAAllocateCachedSurvivesForeignCommit(t *testing.T) {
 	}
 }
 
+// TestADAAllocateCachedDiscardedClone covers a rolled-back control round: the
+// cache is filled on a shadow clone that is then discarded, and the next
+// clone of the same committed trie returns the first clone's changed leaves
+// to their committed hit counts. Its dirty set does not cover those leaves,
+// so the discarded clone's masses must not be reused.
+func TestADAAllocateCachedDiscardedClone(t *testing.T) {
+	committed, err := trie.NewInitial(8, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := committed.SetLeafHits([]uint64{50, 60, 70, 80, 90, 100, 110, 120}); err != nil {
+		t.Fatal(err)
+	}
+	committed.CommitGeneration()
+	var cache AllocCache
+	discarded := committed.Clone()
+	if err := discarded.SetLeafHits([]uint64{50, 60, 70, 80, 900, 800, 700, 600}); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := ADAAllocateCached(discarded, 32, &cache); err != nil {
+		t.Fatal(err)
+	}
+	next := committed.Clone()
+	if err := next.SetLeafHits([]uint64{55, 65, 75, 85, 90, 100, 110, 120}); err != nil {
+		t.Fatal(err)
+	}
+	want, err := ADAAllocate(next, 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := ADAAllocateCached(next, 32, &cache)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("allocation reused a discarded clone's masses\n got: %v\nwant: %v", got, want)
+	}
+}
+
 func TestADAUnaryMemoDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	tr, err := trie.NewInitial(16, 12)
