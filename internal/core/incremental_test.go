@@ -216,172 +216,135 @@ func (d *ackDropDriver) PopulateCalcDelta(tr *trie.Trie, budget int) (int, int, 
 	return w, c, r, err
 }
 
-// TestIncrementalAfterLandedFailedPopulate: a round whose populate landed
-// but reported failure degrades, and the next round reshapes a new clone of
-// the same committed trie. With the bin layout pinned, both rounds' clones
-// change the same number of leaves, to different hit masses; the
-// incremental path must still build the second round's population, not
-// reuse the landed one.
-func TestIncrementalAfterLandedFailedPopulate(t *testing.T) {
-	for _, binary := range []bool{false, true} {
-		name := "unary"
-		if binary {
-			name = "binary"
+// TestIncrementalAfterFailedPopulate: a round whose populate fails degrades,
+// and the next round builds from a new clone of the same committed trie. The
+// incremental table must still match full repopulation, for a unary table
+// and for a binary system's joint table (only y sees traffic, so y's clones
+// alone decide the joint build), whether the failed populate rolled back (a
+// row write failed) or landed with its ack dropped. Two sequences:
+//   - collide: with the bin layout pinned, both rounds' clones change the
+//     same leaves to different hit masses, so the second clone's build must
+//     not pass for the one already in the table;
+//   - return: the failed round reshapes towards one hot bin, and the next
+//     round brings every other bin back to its committed count, so the
+//     failed round's masses must not be reused for bins the new clone's
+//     dirty set does not cover.
+func TestIncrementalAfterFailedPopulate(t *testing.T) {
+	uniform := func(lo, hi int) func(*rand.Rand) []uint64 {
+		return func(rng *rand.Rand) []uint64 {
+			vs := make([]uint64, 4000)
+			for i := range vs {
+				vs[i] = uint64(lo + rng.Intn(hi-lo))
+			}
+			return vs
 		}
-		t.Run(name, func(t *testing.T) {
-			drop := false
-			type system interface {
-				Sync() (SyncReport, error)
-			}
-			var observe []func([]uint64)
-			var tables []tcam.Store
-			var systems []system
-			for _, disable := range []bool{false, true} {
-				cfg := DefaultConfig(16)
-				cfg.MonitorEntries = 8
-				cfg.CalcEntries = 128
-				cfg.ThBalance = 1   // never reshape ...
-				cfg.ThExpansion = 0 // ... or grow: only hit masses move
-				cfg.DisableIncremental = disable
-				cfg.WrapDriver = func(d controlplane.Driver) controlplane.Driver {
-					return &ackDropDriver{Driver: d, drop: &drop}
-				}
-				if binary {
-					s, err := NewBinary(cfg, arith.OpMul)
-					if err != nil {
-						t.Fatal(err)
-					}
-					// Only y sees traffic, so x's trie never moves and
-					// y's clones alone decide the joint build.
-					observe = append(observe, func(vs []uint64) { s.ObserveAll(nil, vs) })
-					tables, systems = append(tables, s.Engine().Store()), append(systems, s)
-				} else {
-					s, err := NewUnary(cfg, arith.OpSquare)
-					if err != nil {
-						t.Fatal(err)
-					}
-					observe = append(observe, s.ObserveAll)
-					tables, systems = append(tables, s.Engine().Store()), append(systems, s)
-				}
-			}
-			rng := rand.New(rand.NewSource(1))
-			round := func(lo, hi int, wantDegraded bool) {
-				t.Helper()
-				vs := make([]uint64, 4000)
-				for i := range vs {
-					vs[i] = uint64(lo + rng.Intn(hi-lo))
-				}
-				for _, o := range observe {
-					o(vs)
-				}
-				for _, s := range systems {
-					rep, err := s.Sync()
-					if err != nil {
-						t.Fatal(err)
-					}
-					if rep.Degraded != wantDegraded {
-						t.Fatalf("degraded = %v, want %v", rep.Degraded, wantDegraded)
-					}
-				}
-				if tables[0].Fingerprint() != tables[1].Fingerprint() {
-					t.Fatal("incremental and full calculation tables diverge")
-				}
-			}
-			round(0, 1<<16, false)
-			drop = true
-			round(0, 1<<13, true)
-			drop = false
-			round(60000, 1<<16, false)
-		})
 	}
-}
-
-// TestIncrementalAfterFailedReshape: a round that reshapes towards one hot
-// bin and then fails its populate leaves the Algorithm 3 memo holding masses
-// of the discarded shadow clone. The next round's clone of the same
-// committed trie brings every bin but one back to its committed hit count,
-// so its dirty set does not cover the failed round's hot bin; the
-// incremental table must still match full repopulation, whether the failed
-// populate rolled back or landed with its ack dropped. The binary system
-// builds its joint table from y's clones.
-func TestIncrementalAfterFailedReshape(t *testing.T) {
-	for _, arity := range []string{"unary", "binary"} {
-		for _, landed := range []bool{false, true} {
-			name := arity + "/rolled-back"
-			if landed {
-				name = arity + "/landed"
+	// perBin spreads counts[b] values evenly over the b-th of the eight
+	// initial bins.
+	perBin := func(counts ...int) func(*rand.Rand) []uint64 {
+		return func(*rand.Rand) []uint64 {
+			var vs []uint64
+			for b, n := range counts {
+				for j := 0; j < n; j++ {
+					vs = append(vs, uint64(b<<13+j*(1<<13)/n))
+				}
 			}
-			t.Run(name, func(t *testing.T) {
-				drop := false
-				type system interface {
-					Sync() (SyncReport, error)
+			return vs
+		}
+	}
+	type round struct {
+		draw func(*rand.Rand) []uint64
+		fail bool
+	}
+	sequences := []struct {
+		name   string
+		pinned bool // never reshape or grow: only hit masses move
+		rounds []round
+	}{
+		{"collide", true, []round{
+			{uniform(0, 1<<16), false},
+			{uniform(0, 1<<13), true},
+			{uniform(60000, 1<<16), false},
+		}},
+		{"return", false, []round{
+			{perBin(500, 500, 500, 500, 500, 500, 500, 500), false},
+			{perBin(0, 0, 4000, 0, 0, 0, 0, 0), true},
+			{perBin(500, 500, 500, 500, 500, 500, 500, 600), false},
+		}},
+	}
+	for _, sq := range sequences {
+		for _, arity := range []string{"unary", "binary"} {
+			for _, landed := range []bool{false, true} {
+				mode := "rolled-back"
+				if landed {
+					mode = "landed"
 				}
-				var (
-					observe []func([]uint64)
-					tables  []*tcam.Table
-					systems []system
-				)
-				for _, disable := range []bool{false, true} {
-					cfg := DefaultConfig(16)
-					cfg.MonitorEntries = 8
-					cfg.CalcEntries = 128
-					cfg.DisableIncremental = disable
-					cfg.WrapDriver = func(d controlplane.Driver) controlplane.Driver {
-						return &ackDropDriver{Driver: d, drop: &drop}
+				t.Run(sq.name+"/"+arity+"/"+mode, func(t *testing.T) {
+					drop := false
+					type system interface {
+						Sync() (SyncReport, error)
 					}
-					if arity == "binary" {
-						s, err := NewBinary(cfg, arith.OpMul)
-						if err != nil {
-							t.Fatal(err)
+					var (
+						observe []func([]uint64)
+						tables  []*tcam.Table
+						systems []system
+					)
+					for _, disable := range []bool{false, true} {
+						cfg := DefaultConfig(16)
+						cfg.MonitorEntries = 8
+						cfg.CalcEntries = 128
+						if sq.pinned {
+							cfg.ThBalance = 1
+							cfg.ThExpansion = 0
 						}
-						observe = append(observe, func(vs []uint64) { s.ObserveAll(nil, vs) })
-						tables, systems = append(tables, s.Engine().Table()), append(systems, s)
-					} else {
-						s, err := NewUnary(cfg, arith.OpSquare)
-						if err != nil {
-							t.Fatal(err)
+						cfg.DisableIncremental = disable
+						cfg.WrapDriver = func(d controlplane.Driver) controlplane.Driver {
+							return &ackDropDriver{Driver: d, drop: &drop}
 						}
-						observe = append(observe, s.ObserveAll)
-						tables, systems = append(tables, s.Engine().Table()), append(systems, s)
-					}
-				}
-				// round spreads counts[b] values evenly over the b-th of the
-				// eight initial bins.
-				round := func(counts [8]int, fail bool) {
-					t.Helper()
-					var vs []uint64
-					for b, n := range counts {
-						for j := 0; j < n; j++ {
-							vs = append(vs, uint64(b<<13+j*(1<<13)/n))
-						}
-					}
-					drop = fail && landed
-					var hook tcam.WriteHook
-					if fail && !landed {
-						hook = func(tcam.WriteOp) error { return errors.New("injected row-write failure") }
-					}
-					for i, s := range systems {
-						tables[i].SetWriteHook(hook)
-						observe[i](vs)
-						rep, err := s.Sync()
-						if err != nil {
-							t.Fatal(err)
-						}
-						if rep.Degraded != fail {
-							t.Fatalf("degraded = %v (%s), want %v", rep.Degraded, rep.DegradedReason, fail)
-						}
-						if fail && rep.Rebalances == 0 {
-							t.Fatal("the failing round did not reshape the trie")
+						if arity == "binary" {
+							s, err := NewBinary(cfg, arith.OpMul)
+							if err != nil {
+								t.Fatal(err)
+							}
+							observe = append(observe, func(vs []uint64) { s.ObserveAll(nil, vs) })
+							tables, systems = append(tables, s.Engine().Table()), append(systems, s)
+						} else {
+							s, err := NewUnary(cfg, arith.OpSquare)
+							if err != nil {
+								t.Fatal(err)
+							}
+							observe = append(observe, s.ObserveAll)
+							tables, systems = append(tables, s.Engine().Table()), append(systems, s)
 						}
 					}
-					if tables[0].Fingerprint() != tables[1].Fingerprint() {
-						t.Fatal("incremental and full calculation tables diverge")
+					rng := rand.New(rand.NewSource(1))
+					for i, r := range sq.rounds {
+						vs := r.draw(rng)
+						drop = r.fail && landed
+						var hook tcam.WriteHook
+						if r.fail && !landed {
+							hook = func(tcam.WriteOp) error { return errors.New("injected row-write failure") }
+						}
+						for j, s := range systems {
+							tables[j].SetWriteHook(hook)
+							observe[j](vs)
+							rep, err := s.Sync()
+							if err != nil {
+								t.Fatal(err)
+							}
+							if rep.Degraded != r.fail {
+								t.Fatalf("round %d: degraded = %v (%s), want %v", i, rep.Degraded, rep.DegradedReason, r.fail)
+							}
+							if r.fail && !sq.pinned && rep.Rebalances == 0 {
+								t.Fatalf("round %d did not reshape the trie", i)
+							}
+						}
+						if tables[0].Fingerprint() != tables[1].Fingerprint() {
+							t.Fatalf("round %d: incremental and full calculation tables diverge", i)
+						}
 					}
-				}
-				round([8]int{500, 500, 500, 500, 500, 500, 500, 500}, false)
-				round([8]int{0, 0, 4000, 0, 0, 0, 0, 0}, true)
-				round([8]int{500, 500, 500, 500, 500, 500, 500, 600}, false)
-			})
+				})
+			}
 		}
 	}
 }
