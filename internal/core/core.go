@@ -17,7 +17,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"slices"
 	"time"
 
 	"github.com/ada-repro/ada/internal/arith"
@@ -270,19 +269,20 @@ func (r *SyncReport) add(rep controlplane.RoundReport) {
 }
 
 // shadow is a calculation target's record of the population it last
-// committed: each installed key's result, the trie change-sequences the
-// build was made at, and the store version the commit left behind. It turns
-// the next Algorithm 3 build into a commit proportional to churn, and tells
-// a read-back audit which rows the table must hold. E is the population's
-// entry type and K its match key: a prefix for a unary table, an (x, y)
-// prefix pair for the joint one.
+// committed: the build itself, the trie change-sequences it was made at, and
+// the store version the commit left behind. It turns the next Algorithm 3
+// build into a commit proportional to churn, and tells a read-back audit
+// which rows the table must hold. E is the population's entry type and K its
+// match key: a prefix for a unary table, an (x, y) prefix pair for the joint
+// one. Builds arrive strictly increasing under cmp (the memo results'
+// contract), so two builds diff in one merge pass.
 type shadow[E any, K comparable] struct {
 	store tcam.Store
 	key   func(E) (K, uint64) // an entry's match key and result
 	row   func(k K, data any) tcam.Row
-	cmp   func(a, b K) int // deterministic row order
+	cmp   func(a, b K) int // the builds' strict order
 
-	installed map[K]uint64
+	installed []E
 	seq       [2]uint64
 	have      bool
 	version   uint64
@@ -291,17 +291,22 @@ type shadow[E any, K comparable] struct {
 // reload installs entries as one transactional full reload and records them.
 // Recording on the full path too lets audits check rows from the very first
 // install.
-func (s *shadow[E, K]) reload(entries []E, results map[K]uint64, seq [2]uint64) (int, error) {
+func (s *shadow[E, K]) reload(entries []E, seq [2]uint64) (int, error) {
+	writes, err := s.store.ApplyRowsAtomic(s.rows(entries))
+	if err != nil {
+		return writes, err
+	}
+	s.record(entries, seq)
+	return writes, nil
+}
+
+// rows renders entries as table rows, in order.
+func (s *shadow[E, K]) rows(entries []E) []tcam.Row {
 	rows := make([]tcam.Row, len(entries))
 	for i, e := range entries {
 		rows[i] = s.row(s.key(e))
 	}
-	writes, err := s.store.ApplyRowsAtomic(rows)
-	if err != nil {
-		return writes, err
-	}
-	s.record(results, seq)
-	return writes, nil
+	return rows
 }
 
 // commit installs a build with the fewest writes the record allows: a full
@@ -309,50 +314,66 @@ func (s *shadow[E, K]) reload(entries []E, results map[K]uint64, seq [2]uint64) 
 // writer or a rollback moved the store's version), nothing when the
 // installed build was made at the same trie state (a converged round), and
 // otherwise the changed and stale rows as one transactional delta.
-func (s *shadow[E, K]) commit(entries []E, results map[K]uint64, seq [2]uint64) (int, error) {
+func (s *shadow[E, K]) commit(entries []E, seq [2]uint64) (int, error) {
 	if !s.have || s.store.Version() != s.version {
-		return s.reload(entries, results, seq)
+		return s.reload(entries, seq)
 	}
 	if s.seq == seq {
 		return 0, nil
 	}
-	var upserts []tcam.Row
-	for _, e := range entries {
-		k, r := s.key(e)
-		if old, ok := s.installed[k]; !ok || old != r {
-			upserts = append(upserts, s.row(k, r))
-		}
-	}
-	var stale []K
-	for k := range s.installed {
-		if _, ok := results[k]; !ok {
-			stale = append(stale, k)
-		}
-	}
-	slices.SortFunc(stale, s.cmp)
-	deletes := make([]tcam.Row, len(stale))
-	for i, k := range stale {
-		deletes[i] = s.row(k, nil)
-	}
+	upserts, deletes := s.diff(entries)
 	writes, err := s.store.ApplyDelta(upserts, deletes)
 	if errors.Is(err, tcam.ErrDeltaConflict) {
 		// The record diverged from the table (the version guard should
 		// prevent it; defensive): resync with a full reload.
-		return s.reload(entries, results, seq)
+		return s.reload(entries, seq)
 	}
 	if err != nil {
 		// The table rolled back and bumped its version, so the next commit
 		// takes the full reload; the record still describes the table.
 		return writes, err
 	}
-	s.record(results, seq)
+	s.record(entries, seq)
 	return writes, nil
 }
 
-// record pins the shadow to the build just committed. Aliasing results is
-// safe: the memos rebuild the map on every recompute instead of mutating it.
-func (s *shadow[E, K]) record(results map[K]uint64, seq [2]uint64) {
-	s.installed = results
+// diff merges the installed build with the next one: upserts are the next
+// build's new or changed rows in build order, deletes the installed keys it
+// drops, in cmp order.
+func (s *shadow[E, K]) diff(entries []E) (upserts, deletes []tcam.Row) {
+	old := s.installed
+	i := 0
+	for _, e := range entries {
+		k, r := s.key(e)
+		for ; i < len(old); i++ {
+			ok, _ := s.key(old[i])
+			if s.cmp(ok, k) >= 0 {
+				break
+			}
+			deletes = append(deletes, s.row(ok, nil))
+		}
+		if i < len(old) {
+			if ok, or := s.key(old[i]); s.cmp(ok, k) == 0 {
+				i++
+				if or == r {
+					continue
+				}
+			}
+		}
+		upserts = append(upserts, s.row(k, r))
+	}
+	for _, e := range old[i:] {
+		k, _ := s.key(e)
+		deletes = append(deletes, s.row(k, nil))
+	}
+	return upserts, deletes
+}
+
+// record pins the shadow to the build just committed. Retaining entries is
+// safe: the memos build a fresh slice on every recompute instead of mutating
+// the one they returned.
+func (s *shadow[E, K]) record(entries []E, seq [2]uint64) {
+	s.installed = entries
 	s.seq = seq
 	s.have = true
 	s.version = s.store.Version()
@@ -367,16 +388,7 @@ func (s *shadow[E, K]) AuditCalc(repair bool) (controlplane.AuditReport, error) 
 	if !s.have {
 		return controlplane.AuditReport{}, nil
 	}
-	keys := make([]K, 0, len(s.installed))
-	for k := range s.installed {
-		keys = append(keys, k)
-	}
-	slices.SortFunc(keys, s.cmp)
-	rows := make([]tcam.Row, len(keys))
-	for i, k := range keys {
-		rows[i] = s.row(k, s.installed[k])
-	}
-	rep, err := controlplane.AuditStore(s.store, rows, repair)
+	rep, err := controlplane.AuditStore(s.store, s.rows(s.installed), repair)
 	if err != nil {
 		return rep, err
 	}
@@ -417,7 +429,7 @@ func (t *unaryTarget) Populate(tr *trie.Trie, budget int) (int, int, error) {
 	if err != nil {
 		return 0, 0, err
 	}
-	writes, err := t.reload(res.Entries, res.Results, [2]uint64{res.Seq})
+	writes, err := t.reload(res.Entries, [2]uint64{res.Seq})
 	return writes, res.Computed, err
 }
 
@@ -428,7 +440,7 @@ func (t *unaryTarget) PopulateDelta(tr *trie.Trie, budget int) (int, int, int, e
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	writes, err := t.commit(res.Entries, res.Results, [2]uint64{res.Seq})
+	writes, err := t.commit(res.Entries, [2]uint64{res.Seq})
 	return writes, res.Computed, res.Reused, err
 }
 
@@ -473,7 +485,7 @@ func (t *jointTarget) Populate(ty *trie.Trie, budget int) (int, int, error) {
 	if err != nil {
 		return 0, 0, err
 	}
-	writes, err := t.reload(res.Entries, res.Results, [2]uint64{res.SeqX, res.SeqY})
+	writes, err := t.reload(res.Entries, [2]uint64{res.SeqX, res.SeqY})
 	return writes, res.Computed, err
 }
 
@@ -484,7 +496,7 @@ func (t *jointTarget) PopulateDelta(ty *trie.Trie, budget int) (int, int, int, e
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	writes, err := t.commit(res.Entries, res.Results, [2]uint64{res.SeqX, res.SeqY})
+	writes, err := t.commit(res.Entries, [2]uint64{res.SeqX, res.SeqY})
 	return writes, res.Computed, res.Reused, err
 }
 

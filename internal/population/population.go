@@ -16,10 +16,10 @@
 package population
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"github.com/ada-repro/ada/internal/bitstr"
@@ -306,14 +306,12 @@ func ADAAllocate(t *trie.Trie, budget int) ([]bitstr.Prefix, error) {
 	if budget < 1 {
 		return nil, fmt.Errorf("%w: got %d", ErrBudget, budget)
 	}
-	return adaAllocate(t, budget, massWithin)
+	return adaAllocate(t, budget)
 }
 
-// adaAllocate is the Algorithm 3 core with a pluggable mass oracle. The
-// incremental mode (AllocCache) substitutes a memoizing oracle; the oracle
-// must return exactly what massWithin would, bit for bit, so both modes
-// produce identical allocations.
-func adaAllocate(t *trie.Trie, budget int, mass func([]trie.Bin, bitstr.Prefix) float64) ([]bitstr.Prefix, error) {
+// adaAllocate is the Algorithm 3 core. Every region's mass comes from one
+// massOracle over the trie's leaves, O(log L) per region.
+func adaAllocate(t *trie.Trie, budget int) ([]bitstr.Prefix, error) {
 	width := t.Width()
 	root, err := bitstr.Root(width)
 	if err != nil {
@@ -382,19 +380,20 @@ func adaAllocate(t *trie.Trie, budget int, mass func([]trie.Bin, bitstr.Prefix) 
 	// O(budget·log budget) instead of O(budget²). Fully specified regions
 	// can never be split again and are parked in done.
 	var done []bitstr.Prefix
-	h := regionHeap{rs: make([]region, 0, len(cover))}
+	h := regionHeap(make([]region, 0, refineBudget+1))
+	oracle := newMassOracle(leaves)
 	push := func(p bitstr.Prefix) {
 		if p.WildBits() == 0 {
 			done = append(done, p)
 			return
 		}
-		heap.Push(&h, region{p: p, mass: mass(leaves, p)})
+		h.push(region{p: p, mass: oracle.mass(p)})
 	}
 	for _, p := range cover {
 		push(p)
 	}
-	for len(done)+h.Len() < refineBudget && h.Len() > 0 {
-		best := heap.Pop(&h).(region)
+	for len(done)+len(h) < refineBudget && len(h) > 0 {
+		best := h.pop()
 		lp, err := best.p.Left()
 		if err != nil {
 			return nil, err
@@ -407,26 +406,16 @@ func adaAllocate(t *trie.Trie, budget int, mass func([]trie.Bin, bitstr.Prefix) 
 		push(rp)
 	}
 
-	// 3. Combine the backstop and the refined range.
-	out := make([]bitstr.Prefix, 0, len(backstop)+len(done)+h.Len())
-	seen := make(map[bitstr.Prefix]bool, cap(out))
-	add := func(p bitstr.Prefix) {
-		if !seen[p] {
-			seen[p] = true
-			out = append(out, p)
-		}
+	// 3. Combine the backstop and the refined range, sorted and without
+	// duplicates (a root backstop can repeat a root cover).
+	out := make([]bitstr.Prefix, 0, len(backstop)+len(done)+len(h))
+	out = append(out, backstop...)
+	out = append(out, done...)
+	for _, r := range h {
+		out = append(out, r.p)
 	}
-	for _, p := range backstop {
-		add(p)
-	}
-	for _, p := range done {
-		add(p)
-	}
-	for _, r := range h.rs {
-		add(r.p)
-	}
-	bitstr.SortPrefixes(out)
-	return out, nil
+	slices.SortFunc(out, bitstr.Prefix.Compare)
+	return slices.Compact(out), nil
 }
 
 // region is one candidate prefix in Algorithm 3's refinement loop.
@@ -435,17 +424,16 @@ type region struct {
 	mass float64
 }
 
-// regionHeap is a max-heap over (mass, wild bits, low bound) — the exact
-// selection order of Algorithm 3's refinement: hottest first, coarser first
-// on mass ties, lower range first as the final tiebreak. The order is total
-// (low bounds are unique within a partition), so heap extraction is
-// deterministic and matches a linear max-scan step for step.
-type regionHeap struct{ rs []region }
+// regionHeap is a binary max-heap over (mass, wild bits, low bound) — the
+// exact selection order of Algorithm 3's refinement: hottest first, coarser
+// first on mass ties, lower range first as the final tiebreak. The order is
+// total (low bounds are unique within a partition), so heap extraction is
+// deterministic and matches a linear max-scan step for step. It is typed,
+// so a push does not box its region.
+type regionHeap []region
 
-func (h *regionHeap) Len() int { return len(h.rs) }
-
-func (h *regionHeap) Less(i, j int) bool {
-	a, b := h.rs[i], h.rs[j]
+// before reports whether a pops before b.
+func (a region) before(b region) bool {
 	switch {
 	case a.mass != b.mass:
 		return a.mass > b.mass
@@ -456,33 +444,97 @@ func (h *regionHeap) Less(i, j int) bool {
 	}
 }
 
-func (h *regionHeap) Swap(i, j int) { h.rs[i], h.rs[j] = h.rs[j], h.rs[i] }
-
-func (h *regionHeap) Push(x any) { h.rs = append(h.rs, x.(region)) }
-
-func (h *regionHeap) Pop() any {
-	last := len(h.rs) - 1
-	r := h.rs[last]
-	h.rs = h.rs[:last]
-	return r
+func (h *regionHeap) push(r region) {
+	*h = append(*h, r)
+	rs := *h
+	for i := len(rs) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !rs[i].before(rs[parent]) {
+			break
+		}
+		rs[i], rs[parent] = rs[parent], rs[i]
+		i = parent
+	}
 }
 
-// massWithin returns the hit mass inside prefix p, spreading each leaf's
-// hits uniformly over its interval.
-func massWithin(leaves []trie.Bin, p bitstr.Prefix) float64 {
+func (h *regionHeap) pop() region {
+	rs := *h
+	top := rs[0]
+	last := len(rs) - 1
+	rs[0] = rs[last]
+	rs = rs[:last]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= len(rs) {
+			break
+		}
+		if c+1 < len(rs) && rs[c+1].before(rs[c]) {
+			c++
+		}
+		if !rs[c].before(rs[i]) {
+			break
+		}
+		rs[i], rs[c] = rs[c], rs[i]
+		i = c
+	}
+	*h = rs
+	return top
+}
+
+// massOracle returns the hit mass inside a prefix, spreading each leaf's
+// hits uniformly over its interval, in O(log L) over L leaves. The leaves
+// must tile the domain in value order, as trie.Leaves does, so a prefix
+// either lies inside one leaf — its mass is that leaf's hits × 2^−k for the
+// k bits it is finer by — or holds a run of whole leaves, whose hits it
+// sums.
+//
+// The result is bit-identical to summing the overlapping leaves' float64
+// hits in value order (the reference the tests keep): while the hit total
+// stays below 2^53 every partial float sum is an exact integer, so one
+// integer prefix-sum difference converted once is the same float. At or
+// above 2^53 — reachable with 64-bit registers — the oracle keeps that
+// sequential float sum over the run it located.
+type massOracle struct {
+	leaves []trie.Bin
+	lo     []uint64 // leaves[i].Prefix.Lo(), ascending
+	cum    []uint64 // cum[i] = hits of leaves[:i]; nil when the total reaches 2^53
+}
+
+func newMassOracle(leaves []trie.Bin) massOracle {
+	o := massOracle{leaves: leaves, lo: make([]uint64, len(leaves)), cum: make([]uint64, len(leaves)+1)}
+	for i, l := range leaves {
+		o.lo[i] = l.Prefix.Lo()
+		if o.cum != nil {
+			sum := o.cum[i] + l.Hits
+			if sum < o.cum[i] || sum >= 1<<53 {
+				o.cum = nil
+			} else {
+				o.cum[i+1] = sum
+			}
+		}
+	}
+	return o
+}
+
+func (o massOracle) mass(p bitstr.Prefix) float64 {
+	// The leaf holding p's low bound: the last one starting at or below it.
+	i := sort.Search(len(o.lo), func(k int) bool { return o.lo[k] > p.Lo() }) - 1
+	if i < 0 {
+		return 0
+	}
+	if l := o.leaves[i]; l.Prefix.Bits() < p.Bits() {
+		// Fraction of the leaf covered by p: 2^-(bits difference).
+		frac := math.Exp2(float64(l.Prefix.Bits() - p.Bits()))
+		return float64(l.Hits) * frac
+	}
+	// p holds leaves i..j-1: those starting inside it.
+	j := sort.Search(len(o.lo), func(k int) bool { return o.lo[k] > p.Hi() })
+	if o.cum != nil {
+		return float64(o.cum[j] - o.cum[i])
+	}
 	mass := 0.0
-	for _, l := range leaves {
-		if l.Hits == 0 || !l.Prefix.Overlaps(p) {
-			continue
-		}
-		switch {
-		case p.ContainsPrefix(l.Prefix):
-			mass += float64(l.Hits)
-		case l.Prefix.ContainsPrefix(p):
-			// Fraction of the leaf covered by p: 2^-(bits difference).
-			frac := math.Exp2(float64(l.Prefix.Bits() - p.Bits()))
-			mass += float64(l.Hits) * frac
-		}
+	for _, l := range o.leaves[i:j] {
+		mass += float64(l.Hits)
 	}
 	return mass
 }

@@ -46,14 +46,14 @@ func UnaryErrorPressure(t *trie.Trie, budget int) (Pressure, error) {
 	if err != nil {
 		return Pressure{}, err
 	}
-	leaves := t.Leaves()
+	oracle := newMassOracle(t.Leaves())
 	pr := Pressure{Hits: t.TotalHits()}
 	for _, p := range prefixes {
 		rw := relHalfWidth(p)
 		if rw == 0 {
 			continue
 		}
-		m := massWithin(leaves, p)
+		m := oracle.mass(p)
 		if m == 0 {
 			continue
 		}

@@ -75,16 +75,10 @@ func (t *Table) AuditRepair(expect []Row) (writes int, err error) {
 	return t.ApplyRowsAtomic(expect)
 }
 
-// findTamperTargetLocked locates the physical entry with the given match
-// fields and priority; t.mu must be held.
+// findTamperTargetLocked locates the oldest physical entry with the given
+// match fields and priority through the key index; t.mu must be held.
 func (t *Table) findTamperTargetLocked(fields []Field, priority int) *Entry {
-	key := matchKey(fields, priority)
-	for _, e := range t.ordered {
-		if e.key == key {
-			return e
-		}
-	}
-	return nil
+	return t.keys.first(fields, priority, keyHash(fields, priority))
 }
 
 // TamperData silently overwrites the action data of the installed row with
@@ -123,9 +117,7 @@ func (t *Table) TamperInsert(fields []Field, priority int, data any) error {
 	if t.capacity > 0 && len(t.entries) >= t.capacity {
 		return &CapacityError{Table: t.name, Capacity: t.capacity, Installed: len(t.entries), Requested: 1}
 	}
-	e := t.newEntryLocked(fields, priority, data)
-	t.entries[e.ID] = e
-	t.insertOrdered(e)
+	t.installLocked(t.newEntryLocked(fields, priority, data))
 	t.tamperLocked()
 	return nil
 }
@@ -140,8 +132,7 @@ func (t *Table) TamperDelete(fields []Field, priority int) error {
 	if e == nil {
 		return fmt.Errorf("%w: tamper target %q in table %q", ErrNotFound, matchKey(fields, priority), t.name)
 	}
-	delete(t.entries, e.ID)
-	t.removeOrderedLocked(e)
+	t.uninstallLocked(e)
 	t.tamperLocked()
 	return nil
 }

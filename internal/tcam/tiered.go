@@ -91,10 +91,6 @@ type TieredStore struct {
 	sramWrites atomic.Uint64
 	promotions atomic.Uint64
 	demotions  atomic.Uint64
-
-	// residentScratch is placeLocked's reusable TCAM-residency count map,
-	// cleared in place each reconcile instead of reallocated (guarded by mu).
-	residentScratch map[string]int
 }
 
 var (
@@ -253,27 +249,24 @@ func (s *TieredStore) validateRows(rows []Row) error {
 
 // placeLocked splits a full target population across the tiers: rows whose
 // match key is already resident in the TCAM tier stay there (sticky, so a
-// converged reconcile causes no tier churn), remaining TCAM slots fill in
-// row order, and everything else spills to SRAM. s.mu must be held.
+// converged reconcile causes no tier churn; each resident entry keeps one
+// row), remaining TCAM slots fill in row order, and everything else spills
+// to SRAM. s.mu and s.hot.mu must be held.
 func (s *TieredStore) placeLocked(rows []Row) (hotRows, coldRows []Row) {
 	budget := s.hot.capacity
-	if s.residentScratch == nil {
-		s.residentScratch = make(map[string]int, s.hot.Len())
-	}
-	resident := s.residentScratch
-	clear(resident)
-	for _, e := range s.hot.Entries() {
-		resident[e.key]++
-	}
 	sticky := make([]bool, len(rows))
 	n := 0
 	for i, r := range rows {
-		k := matchKey(r.Fields, r.Priority)
-		if c := resident[k]; c > 0 && n < budget {
-			resident[k] = c - 1
+		if n >= budget {
+			break
+		}
+		if s.hot.keys.claim(r.Fields, r.Priority, keyHash(r.Fields, r.Priority)) != nil {
 			sticky[i] = true
 			n++
 		}
+	}
+	for _, e := range s.hot.ordered { // the TCAM tier holds at most budget rows
+		e.claimed = false
 	}
 	for i, r := range rows {
 		switch {
@@ -304,8 +297,10 @@ func (s *TieredStore) ApplyRowsAtomic(rows []Row) (writes int, err error) {
 		return 0, &CapacityError{Table: s.name, Capacity: s.capacity,
 			Installed: s.hot.Len() + s.cold.len(), Requested: len(rows)}
 	}
+	s.hot.mu.Lock()
 	hotRows, coldRows := s.placeLocked(rows)
-	writes, err = s.hot.ApplyRowsAtomic(hotRows)
+	writes, err = s.hot.applyRowsAtomicLocked(hotRows)
+	s.hot.mu.Unlock()
 	if err != nil {
 		return 0, err
 	}
@@ -329,64 +324,124 @@ func (s *TieredStore) ApplyDelta(upserts, deletes []Row) (writes int, err error)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	defer s.bumpLocked()
-
-	hotCount := make(map[string]int, s.hot.Len())
-	for _, e := range s.hot.Entries() {
-		hotCount[e.key]++
+	s.hot.mu.Lock()
+	hotUp, hotDel, coldUp, coldDel, err := s.stageDeltaLocked(upserts, deletes)
+	if err == nil {
+		writes, err = s.hot.applyDeltaLocked(hotUp, hotDel)
 	}
-	hotLen, coldLen := s.hot.Len(), s.cold.len()
-
-	var hotDel, coldDel []Row
-	coldConsumed := make(map[string]int)
-	for _, r := range deletes {
-		k := matchKey(r.Fields, r.Priority)
-		switch {
-		case hotCount[k] > 0:
-			hotCount[k]--
-			hotDel = append(hotDel, r)
-		case s.cold.count(k)-coldConsumed[k] > 0:
-			coldConsumed[k]++
-			coldDel = append(coldDel, r)
-		default:
-			return 0, fmt.Errorf("%w: delete of %q not installed in tiered store %q",
-				ErrDeltaConflict, k, s.name)
-		}
-	}
-	newHot, newCold := hotLen-len(hotDel), coldLen-len(coldDel)
-
-	var hotUp, coldUp []Row
-	inserted := 0
-	coldPresent := make(map[string]bool)
-	for _, r := range upserts {
-		k := matchKey(r.Fields, r.Priority)
-		switch {
-		case hotCount[k] > 0:
-			hotUp = append(hotUp, r)
-		case coldPresent[k] || s.cold.count(k)-coldConsumed[k] > 0:
-			coldUp = append(coldUp, r)
-		case newHot < s.hot.capacity:
-			hotUp = append(hotUp, r)
-			hotCount[k]++
-			newHot++
-			inserted++
-		default:
-			coldUp = append(coldUp, r)
-			coldPresent[k] = true
-			newCold++
-			inserted++
-		}
-	}
-	if s.capacity > 0 && newHot+newCold > s.capacity {
-		return 0, &CapacityError{Table: s.name, Capacity: s.capacity,
-			Installed: hotLen + coldLen, Requested: inserted}
-	}
-
-	writes, err = s.hot.ApplyDelta(hotUp, hotDel)
+	s.hot.mu.Unlock()
 	if err != nil {
 		return 0, err
 	}
 	s.sramWrites.Add(uint64(s.cold.applyDelta(coldUp, coldDel)))
 	return writes, nil
+}
+
+// stageDeltaLocked splits a delta across the tiers without touching either,
+// looking each row up in the tiers' key indexes. Deletes claim the oldest
+// installed entry under their key, TCAM tier first, so duplicate deletes
+// consume one entry each; the claims are cleared before it returns. An
+// upsert follows its key's unclaimed entry, or the tier an earlier upsert
+// of the same new key went to; a new key takes a free TCAM slot before
+// spilling to SRAM. s.mu and s.hot.mu must be held.
+func (s *TieredStore) stageDeltaLocked(upserts, deletes []Row) (hotUp, hotDel, coldUp, coldDel []Row, err error) {
+	hot, cold := s.hot, s.cold
+	hotLen, coldLen := len(hot.entries), cold.len()
+	var held []*Entry
+	defer func() {
+		for _, e := range held {
+			e.claimed = false
+		}
+	}()
+	for _, r := range deletes {
+		h := keyHash(r.Fields, r.Priority)
+		if e := hot.keys.claim(r.Fields, r.Priority, h); e != nil {
+			held = append(held, e)
+			hotDel = append(hotDel, r)
+		} else if e := cold.keys.claim(r.Fields, r.Priority, h); e != nil {
+			held = append(held, e)
+			coldDel = append(coldDel, r)
+		} else {
+			return nil, nil, nil, nil, fmt.Errorf("%w: delete of %q not installed in tiered store %q",
+				ErrDeltaConflict, matchKey(r.Fields, r.Priority), s.name)
+		}
+	}
+	newHot, newCold := hotLen-len(hotDel), coldLen-len(coldDel)
+
+	inserted := 0
+	var fresh freshKeys
+	for _, r := range upserts {
+		h := keyHash(r.Fields, r.Priority)
+		if hot.keys.first(r.Fields, r.Priority, h) != nil {
+			hotUp = append(hotUp, r)
+			continue
+		}
+		if cold.keys.first(r.Fields, r.Priority, h) != nil {
+			coldUp = append(coldUp, r)
+			continue
+		}
+		toHot, seen := fresh.tier(r, h)
+		if !seen {
+			toHot = newHot < hot.capacity
+			fresh.add(r, h, toHot, len(upserts))
+			if toHot {
+				newHot++
+			} else {
+				newCold++
+			}
+			inserted++
+		}
+		if toHot {
+			hotUp = append(hotUp, r)
+		} else {
+			coldUp = append(coldUp, r)
+		}
+	}
+	if s.capacity > 0 && newHot+newCold > s.capacity {
+		return nil, nil, nil, nil, &CapacityError{Table: s.name, Capacity: s.capacity,
+			Installed: hotLen + coldLen, Requested: inserted}
+	}
+	return hotUp, hotDel, coldUp, coldDel, nil
+}
+
+// freshKeys records the new keys a tiered delta stages and the tier each
+// went to, hashed like keyIndex; distinct keys sharing a hash fall back to
+// a scan.
+type freshKeys struct {
+	byHash map[uint64]int // hash → first staged row with it
+	rows   []freshRow
+}
+
+type freshRow struct {
+	r   Row
+	hot bool
+}
+
+// tier reports the tier r's key was staged to, if it was.
+func (f *freshKeys) tier(r Row, h uint64) (hot, ok bool) {
+	i, hit := f.byHash[h]
+	if !hit {
+		return false, false
+	}
+	if fr := f.rows[i]; sameKey(fr.r.Fields, fr.r.Priority, r.Fields, r.Priority) {
+		return fr.hot, true
+	}
+	for _, fr := range f.rows {
+		if sameKey(fr.r.Fields, fr.r.Priority, r.Fields, r.Priority) {
+			return fr.hot, true
+		}
+	}
+	return false, false
+}
+
+func (f *freshKeys) add(r Row, h uint64, hot bool, sizeHint int) {
+	if f.byHash == nil {
+		f.byHash = make(map[uint64]int, sizeHint)
+	}
+	if _, ok := f.byHash[h]; !ok {
+		f.byHash[h] = len(f.rows)
+	}
+	f.rows = append(f.rows, freshRow{r: r, hot: hot})
 }
 
 // Fingerprint digests the union of both tiers in Table's canonical format:
@@ -455,13 +510,12 @@ func (s *TieredStore) TamperData(fields []Field, priority int, data any) error {
 	if !errors.Is(err, ErrNotFound) {
 		return err
 	}
-	k := matchKey(fields, priority)
-	if list := s.cold.byKey[k]; len(list) > 0 {
-		list[0].Data = data
+	if e := s.cold.first(fields, priority); e != nil {
+		e.Data = data
 		s.seq.Add(1)
 		return nil
 	}
-	return fmt.Errorf("%w: tamper target %q in tiered store %q", ErrNotFound, k, s.name)
+	return fmt.Errorf("%w: tamper target %q in tiered store %q", ErrNotFound, matchKey(fields, priority), s.name)
 }
 
 // TamperInsert silently installs a ghost row, preferring a free TCAM slot
@@ -472,10 +526,9 @@ func (s *TieredStore) TamperInsert(fields []Field, priority int, data any) error
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	k := matchKey(fields, priority)
-	if s.cold.count(k) > 0 {
+	if s.cold.first(fields, priority) != nil {
 		return fmt.Errorf("%w: ghost row %q already installed in tiered store %q",
-			ErrDeltaConflict, k, s.name)
+			ErrDeltaConflict, matchKey(fields, priority), s.name)
 	}
 	if s.capacity > 0 && s.hot.Len()+s.cold.len() >= s.capacity {
 		return &CapacityError{Table: s.name, Capacity: s.capacity,
@@ -494,7 +547,7 @@ func (s *TieredStore) TamperInsert(fields []Field, priority int, data any) error
 			return s.hot.findTamperTargetLocked(fields, priority) != nil
 		}(); dup {
 			return fmt.Errorf("%w: ghost row %q already installed in tiered store %q",
-				ErrDeltaConflict, k, s.name)
+				ErrDeltaConflict, matchKey(fields, priority), s.name)
 		}
 		s.cold.insert(Row{Fields: fields, Priority: priority, Data: data})
 	}
@@ -515,12 +568,11 @@ func (s *TieredStore) TamperDelete(fields []Field, priority int) error {
 	if !errors.Is(err, ErrNotFound) {
 		return err
 	}
-	k := matchKey(fields, priority)
-	if _, ok := s.cold.remove(k); ok {
+	if s.cold.remove(fields, priority) {
 		s.seq.Add(1)
 		return nil
 	}
-	return fmt.Errorf("%w: tamper target %q in tiered store %q", ErrNotFound, k, s.name)
+	return fmt.Errorf("%w: tamper target %q in tiered store %q", ErrNotFound, matchKey(fields, priority), s.name)
 }
 
 // Rebalance re-ranks every installed row by heat and moves rows between
@@ -595,7 +647,7 @@ func (s *TieredStore) Rebalance(heat RowHeat) (TierMoves, error) {
 		return TierMoves{}, err
 	}
 	for _, r := range promote {
-		s.cold.remove(matchKey(r.Fields, r.Priority))
+		s.cold.remove(r.Fields, r.Priority)
 	}
 	for _, r := range demote {
 		s.cold.insert(r)
