@@ -307,3 +307,59 @@ func BenchmarkBuildIndexTiling3840(b *testing.B) {
 
 // indexSink keeps the compiler from discarding a benchmarked build.
 var indexSink *index
+
+// deltaRows returns n distinct single-field rows over 32-bit keys, their
+// prefix lengths spread over 20–27 bits so the resolution order interleaves.
+func deltaRows(n, from int) []Row {
+	rows := make([]Row, n)
+	for i := range rows {
+		id := uint64(from + i)
+		bits := uint(20 + id%8)
+		mask := (uint64(1)<<bits - 1) << (32 - bits)
+		rows[i] = Row{Fields: []Field{{Value: id << (32 - bits), Mask: mask}}, Data: id}
+	}
+	return rows
+}
+
+// benchmarkApplyDelta commits a 16-row delta — 4 deletes, 4 inserts and 8
+// action rewrites — against a store holding n rows. Consecutive deltas swap
+// the deleted and inserted rows back and forth, so the store stays at n rows
+// and every delta does the same work.
+func benchmarkApplyDelta(b *testing.B, st Store, n int) {
+	base := deltaRows(n, 0)
+	if _, err := st.ApplyRowsAtomic(base); err != nil {
+		b.Fatal(err)
+	}
+	out := base[:4]              // installed at even iterations
+	in := deltaRows(4, n)        // installed at odd iterations
+	rewrite := base[n/2 : n/2+8] // rewritten every iteration
+	upserts := make([]Row, 0, 12)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		upserts = upserts[:0]
+		for _, r := range rewrite {
+			r.Data = uint64(i)
+			upserts = append(upserts, r)
+		}
+		add, del := in, out
+		if i%2 == 1 {
+			add, del = out, in
+		}
+		upserts = append(upserts, add...)
+		if _, err := st.ApplyDelta(upserts, del); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkApplyDelta1k(b *testing.B)  { benchmarkApplyDelta(b, MustNew("bench", 0, 32), 1024) }
+func BenchmarkApplyDelta16k(b *testing.B) { benchmarkApplyDelta(b, MustNew("bench", 0, 32), 16384) }
+
+func BenchmarkApplyDeltaTiered1k(b *testing.B) {
+	st, err := NewTiered("bench", 128, 0, 32)
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchmarkApplyDelta(b, st, 1024)
+}
