@@ -227,7 +227,7 @@ func TestCostModelCalibration(t *testing.T) {
 	cm := DefaultCostModel()
 	// A 128-budget round in practice writes ~216 TCAM rows (a full rewrite
 	// of ~108 installed entries) and computes ~108 entries.
-	delay := cm.RoundCost(12, 12, 216, 108, 0)
+	delay := cm.RoundCost(12, 12, 216, 108)
 	lo, hi := 2900*time.Microsecond, 3500*time.Microsecond
 	if delay < lo || delay > hi {
 		t.Errorf("128-entry round delay = %v, want ≈3.15ms (within [%v, %v])", delay, lo, hi)
@@ -235,7 +235,7 @@ func TestCostModelCalibration(t *testing.T) {
 	// And delay must grow monotonically with entries (Fig 9 shape).
 	prev := time.Duration(0)
 	for entries := 16; entries <= 128; entries += 16 {
-		d := cm.RoundCost(12, 12, 2*entries+24, entries, 0)
+		d := cm.RoundCost(12, 12, 2*entries+24, entries)
 		if d <= prev {
 			t.Errorf("delay not monotone at %d entries: %v <= %v", entries, d, prev)
 		}

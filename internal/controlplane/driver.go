@@ -46,10 +46,10 @@ type Driver interface {
 // that can reconcile the calculation population against its shadow copy,
 // emitting only the changed rows. The controller prefers this path when the
 // driver implements it; drivers that do not fall back to the full
-// PopulateCalc. reused counts entries served from the driver's memo instead
-// of recomputed — the quantity CostModel.PerEntryReused prices. The end
-// state must be identical to PopulateCalc's, and on error the previous
-// population must remain fully installed.
+// PopulateCalc. computed and reused split the entries as DeltaTarget does:
+// a fresh Algorithm 3 build, or the last committed build served again
+// unevaluated. The end state must be identical to PopulateCalc's, and on
+// error the previous population must remain fully installed.
 type DeltaPopulator interface {
 	PopulateCalcDelta(tr *trie.Trie, budget int) (writes, computed, reused int, err error)
 }

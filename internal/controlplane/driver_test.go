@@ -127,7 +127,7 @@ func TestRetryAbsorbsTransientFailure(t *testing.T) {
 		t.Errorf("Retries = %d, DriverErrors = %d, want 1, 1", rep.Retries, rep.DriverErrors)
 	}
 	// Backoff is charged into the delay.
-	clean := ctl.cfg.Cost.RoundCost(rep.Reads, rep.RegisterWrites, rep.TCAMWrites, rep.Computed, rep.Reused)
+	clean := ctl.cfg.Cost.RoundCost(rep.Reads, rep.RegisterWrites, rep.TCAMWrites, rep.Computed)
 	if rep.Delay != clean+ctl.cfg.Retry.BaseBackoff {
 		t.Errorf("Delay = %v, want op cost %v + backoff %v", rep.Delay, clean, ctl.cfg.Retry.BaseBackoff)
 	}
@@ -309,7 +309,7 @@ func TestInjectedLatencyChargedIntoDelay(t *testing.T) {
 	if rep.InjectedLatency != 500*time.Microsecond {
 		t.Errorf("InjectedLatency = %v", rep.InjectedLatency)
 	}
-	clean := ctl.cfg.Cost.RoundCost(rep.Reads, rep.RegisterWrites, rep.TCAMWrites, rep.Computed, rep.Reused)
+	clean := ctl.cfg.Cost.RoundCost(rep.Reads, rep.RegisterWrites, rep.TCAMWrites, rep.Computed)
 	if rep.Delay != clean+500*time.Microsecond {
 		t.Errorf("Delay = %v, want %v", rep.Delay, clean+500*time.Microsecond)
 	}

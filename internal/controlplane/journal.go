@@ -219,7 +219,7 @@ type RecoveryReport struct {
 	// CalcWrites / Computed are the calculation repopulation costs. The
 	// repopulation diffs against the physical table, so at small divergence
 	// it is far cheaper than a from-scratch flash even though the restarted
-	// process lost its memo.
+	// process lost its shadow record.
 	CalcWrites int
 	Computed   int
 	// Delay is the modelled recovery delay under the Fig 9 cost model.
@@ -304,16 +304,15 @@ func Recover(cfg Config, drv Driver, j *Journal) (*Controller, RecoveryReport, e
 	// Repopulate toward the journaled trie. The populate path diffs against
 	// the physical table, so rows the crashed run already installed — and
 	// rows it corrupted — reconcile with minimal writes.
-	writes, computed, err := c.populate(tr)
+	writes, computed, _, err := c.populate(tr)
 	if err != nil {
 		return nil, rep, fmt.Errorf("controlplane: recovery populate: %w", err)
 	}
 	rep.CalcWrites = writes
 	rep.Computed = computed
-	tr.CommitGeneration()
 
 	rowReads := rep.Audit.Audited
-	rep.Delay = cfg.Cost.RoundCost(0, 0, binWrites+writes, computed, 0) +
+	rep.Delay = cfg.Cost.RoundCost(0, 0, binWrites+writes, computed) +
 		time.Duration(rowReads)*cfg.Cost.PerRowRead
 
 	if err := j.Append(journalRecord(KindCommit, rec.Round, cfg.CalcBudget,
@@ -324,11 +323,11 @@ func Recover(cfg Config, drv Driver, j *Journal) (*Controller, RecoveryReport, e
 }
 
 // populate commits the calculation population for tr through the driver,
-// preferring the delta path.
-func (c *Controller) populate(tr *trie.Trie) (writes, computed int, err error) {
+// preferring the delta path. The full path reuses nothing.
+func (c *Controller) populate(tr *trie.Trie) (writes, computed, reused int, err error) {
 	if dp, ok := c.drv.(DeltaPopulator); ok {
-		w, comp, _, err := dp.PopulateCalcDelta(tr, c.cfg.CalcBudget)
-		return w, comp, err
+		return dp.PopulateCalcDelta(tr, c.cfg.CalcBudget)
 	}
-	return c.drv.PopulateCalc(tr, c.cfg.CalcBudget)
+	writes, computed, err = c.drv.PopulateCalc(tr, c.cfg.CalcBudget)
+	return writes, computed, 0, err
 }

@@ -203,9 +203,11 @@ type SyncReport struct {
 	TCAMWrites int
 	// Rebalances counts Algorithm 2 steps across all monitored variables.
 	Rebalances int
-	// Computed and Reused split the calculation entries of this round into
-	// freshly evaluated versus served from the Algorithm 3 memo; a converged
-	// incremental round reports Computed == 0.
+	// Computed and Reused split the calculation entries of this round: a
+	// round that runs Algorithm 3 counts every entry as computed, and an
+	// incremental round whose tries and budget are unchanged since its last
+	// commit reuses that build and counts every entry as reused (Computed ==
+	// 0).
 	Computed int
 	Reused   int
 	// Expanded reports whether any monitoring TCAM grew.
@@ -269,13 +271,16 @@ func (r *SyncReport) add(rep controlplane.RoundReport) {
 }
 
 // shadow is a calculation target's record of the population it last
-// committed: the build itself, the trie change-sequences it was made at, and
-// the store version the commit left behind. It turns the next Algorithm 3
-// build into a commit proportional to churn, and tells a read-back audit
-// which rows the table must hold. E is the population's entry type and K its
-// match key: a prefix for a unary table, an (x, y) prefix pair for the joint
-// one. Builds arrive strictly increasing under cmp (the memo results'
-// contract), so two builds diff in one merge pass.
+// committed: the build itself, the trie change-sequences and budget it was
+// made at, and the store version the commit left behind. It is the only
+// state the populate path keeps across rounds. A round whose tries and
+// budget match the record skips Algorithm 3 entirely; any other round
+// builds afresh and commits in proportion to churn. The record also tells a
+// read-back audit which rows the table must hold. E is the population's
+// entry type and K its match key: a prefix for a unary table, an (x, y)
+// prefix pair for the joint one. Builds arrive strictly increasing under
+// cmp (ADAUnary's and ADABinary's contract), so two builds diff in one
+// merge pass.
 type shadow[E any, K comparable] struct {
 	store tcam.Store
 	key   func(E) (K, uint64) // an entry's match key and result
@@ -284,19 +289,41 @@ type shadow[E any, K comparable] struct {
 
 	installed []E
 	seq       [2]uint64
+	budget    int
 	have      bool
 	version   uint64
+}
+
+// populate is the incremental Algorithm 3 step. When the record matches the
+// tries' change-sequences and the budget, the recorded build is exactly what
+// Algorithm 3 would return, so nothing is built or evaluated: the store is
+// left alone, or reloaded from the record when another writer or a rollback
+// moved its version, and every entry counts as reused. Otherwise build runs,
+// every entry counts as computed, and the build commits against the record.
+func (s *shadow[E, K]) populate(seq [2]uint64, budget int, build func() ([]E, error)) (writes, computed, reused int, err error) {
+	if s.have && s.seq == seq && s.budget == budget {
+		if s.store.Version() != s.version {
+			writes, err = s.reload(s.installed, seq, budget)
+		}
+		return writes, 0, len(s.installed), err
+	}
+	entries, err := build()
+	if err != nil {
+		return 0, 0, 0, err
+	}
+	writes, err = s.commit(entries, seq, budget)
+	return writes, len(entries), 0, err
 }
 
 // reload installs entries as one transactional full reload and records them.
 // Recording on the full path too lets audits check rows from the very first
 // install.
-func (s *shadow[E, K]) reload(entries []E, seq [2]uint64) (int, error) {
+func (s *shadow[E, K]) reload(entries []E, seq [2]uint64, budget int) (int, error) {
 	writes, err := s.store.ApplyRowsAtomic(s.rows(entries))
 	if err != nil {
 		return writes, err
 	}
-	s.record(entries, seq)
+	s.record(entries, seq, budget)
 	return writes, nil
 }
 
@@ -311,29 +338,25 @@ func (s *shadow[E, K]) rows(entries []E) []tcam.Row {
 
 // commit installs a build with the fewest writes the record allows: a full
 // reload when the record cannot be trusted (nothing recorded yet, or another
-// writer or a rollback moved the store's version), nothing when the
-// installed build was made at the same trie state (a converged round), and
-// otherwise the changed and stale rows as one transactional delta.
-func (s *shadow[E, K]) commit(entries []E, seq [2]uint64) (int, error) {
+// writer or a rollback moved the store's version), and otherwise the changed
+// and stale rows as one transactional delta.
+func (s *shadow[E, K]) commit(entries []E, seq [2]uint64, budget int) (int, error) {
 	if !s.have || s.store.Version() != s.version {
-		return s.reload(entries, seq)
-	}
-	if s.seq == seq {
-		return 0, nil
+		return s.reload(entries, seq, budget)
 	}
 	upserts, deletes := s.diff(entries)
 	writes, err := s.store.ApplyDelta(upserts, deletes)
 	if errors.Is(err, tcam.ErrDeltaConflict) {
 		// The record diverged from the table (the version guard should
 		// prevent it; defensive): resync with a full reload.
-		return s.reload(entries, seq)
+		return s.reload(entries, seq, budget)
 	}
 	if err != nil {
 		// The table rolled back and bumped its version, so the next commit
 		// takes the full reload; the record still describes the table.
 		return writes, err
 	}
-	s.record(entries, seq)
+	s.record(entries, seq, budget)
 	return writes, nil
 }
 
@@ -370,11 +393,11 @@ func (s *shadow[E, K]) diff(entries []E) (upserts, deletes []tcam.Row) {
 }
 
 // record pins the shadow to the build just committed. Retaining entries is
-// safe: the memos build a fresh slice on every recompute instead of mutating
-// the one they returned.
-func (s *shadow[E, K]) record(entries []E, seq [2]uint64) {
+// safe: every build is a fresh slice that nothing else mutates.
+func (s *shadow[E, K]) record(entries []E, seq [2]uint64, budget int) {
 	s.installed = entries
 	s.seq = seq
+	s.budget = budget
 	s.have = true
 	s.version = s.store.Version()
 }
@@ -400,14 +423,12 @@ func (s *shadow[E, K]) AuditCalc(repair bool) (controlplane.AuditReport, error) 
 	return rep, nil
 }
 
-// unaryTarget adapts a unary calculation store to the controller: the
-// Algorithm 3 memo plus the shadow record make PopulateDelta's work
-// proportional to churn instead of budget.
+// unaryTarget adapts a unary calculation store to the controller: the shadow
+// record makes PopulateDelta's work proportional to churn instead of budget.
 type unaryTarget struct {
 	shadow[population.UnaryEntry, bitstr.Prefix]
-	op   arith.UnaryOp
-	rep  population.Representative
-	memo population.UnaryMemo
+	op  arith.UnaryOp
+	rep population.Representative
 }
 
 func newUnaryTarget(engine *arith.UnaryEngine, op arith.UnaryOp, rep population.Representative) *unaryTarget {
@@ -422,26 +443,28 @@ func newUnaryTarget(engine *arith.UnaryEngine, op arith.UnaryOp, rep population.
 	}
 }
 
+// build runs Algorithm 3 on tr.
+func (t *unaryTarget) build(tr *trie.Trie, budget int) ([]population.UnaryEntry, error) {
+	return population.ADAUnary(tr, t.op.Func(), budget, t.rep)
+}
+
 // Populate implements controlplane.Target: Algorithm 3 from scratch and a
 // full transactional reload.
 func (t *unaryTarget) Populate(tr *trie.Trie, budget int) (int, int, error) {
-	res, err := population.ADAUnaryMemo(tr, t.op.Func(), budget, t.rep, nil)
+	entries, err := t.build(tr, budget)
 	if err != nil {
 		return 0, 0, err
 	}
-	writes, err := t.reload(res.Entries, [2]uint64{res.Seq})
-	return writes, res.Computed, err
+	writes, err := t.reload(entries, [2]uint64{tr.ChangeSeq()}, budget)
+	return writes, len(entries), err
 }
 
-// PopulateDelta implements controlplane.DeltaTarget: memoized Algorithm 3
-// followed by a delta commit against the installed population.
+// PopulateDelta implements controlplane.DeltaTarget through the shadow (see
+// shadow.populate).
 func (t *unaryTarget) PopulateDelta(tr *trie.Trie, budget int) (int, int, int, error) {
-	res, err := population.ADAUnaryMemo(tr, t.op.Func(), budget, t.rep, &t.memo)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	writes, err := t.commit(res.Entries, [2]uint64{res.Seq})
-	return writes, res.Computed, res.Reused, err
+	return t.populate([2]uint64{tr.ChangeSeq()}, budget, func() ([]population.UnaryEntry, error) {
+		return t.build(tr, budget)
+	})
 }
 
 // PlaceTiers implements controlplane.TierPlacer from the trie's hit
@@ -456,48 +479,59 @@ func (t *unaryTarget) PlaceTiers(tr *trie.Trie) (controlplane.TierMoves, bool, e
 // populated, audited, tier-placed and retried through y's driver like any
 // calculation table. x's controller has no target.
 type jointTarget struct {
-	shadow[population.BinaryEntry, population.BinaryPair]
-	x    *controlplane.Controller
-	op   arith.BinaryOp
-	rep  population.Representative
-	memo population.BinaryMemo
+	shadow[population.BinaryEntry, binaryPair]
+	x   *controlplane.Controller
+	op  arith.BinaryOp
+	rep population.Representative
+}
+
+// binaryPair is the match key of one joint-table entry.
+type binaryPair struct {
+	x, y bitstr.Prefix
 }
 
 func newJointTarget(engine *arith.BinaryEngine, x *controlplane.Controller, op arith.BinaryOp, rep population.Representative) *jointTarget {
 	return &jointTarget{
-		shadow: shadow[population.BinaryEntry, population.BinaryPair]{
+		shadow: shadow[population.BinaryEntry, binaryPair]{
 			store: engine.Store(),
-			key: func(e population.BinaryEntry) (population.BinaryPair, uint64) {
-				return population.BinaryPair{X: e.X, Y: e.Y}, e.Result
+			key: func(e population.BinaryEntry) (binaryPair, uint64) {
+				return binaryPair{x: e.X, y: e.Y}, e.Result
 			},
-			row: func(pr population.BinaryPair, data any) tcam.Row {
-				return tcam.Row{Fields: []tcam.Field{tcam.FieldFromPrefix(pr.X), tcam.FieldFromPrefix(pr.Y)}, Data: data}
+			row: func(pr binaryPair, data any) tcam.Row {
+				return tcam.Row{Fields: []tcam.Field{tcam.FieldFromPrefix(pr.x), tcam.FieldFromPrefix(pr.y)}, Data: data}
 			},
-			cmp: func(a, b population.BinaryPair) int { return cmp.Or(a.X.Compare(b.X), a.Y.Compare(b.Y)) },
+			cmp: func(a, b binaryPair) int { return cmp.Or(a.x.Compare(b.x), a.y.Compare(b.y)) },
 		},
 		x: x, op: op, rep: rep,
 	}
 }
 
+// build runs the joint Algorithm 3 on x's committed trie and ty.
+func (t *jointTarget) build(ty *trie.Trie, budget int) ([]population.BinaryEntry, error) {
+	return population.ADABinary(t.x.Trie(), ty, t.op.Func(), budget, t.rep)
+}
+
+// seqs is the shadow key of a joint build: both operand tries' ChangeSeqs.
+func (t *jointTarget) seqs(ty *trie.Trie) [2]uint64 {
+	return [2]uint64{t.x.Trie().ChangeSeq(), ty.ChangeSeq()}
+}
+
 // Populate implements controlplane.Target (see unaryTarget.Populate).
 func (t *jointTarget) Populate(ty *trie.Trie, budget int) (int, int, error) {
-	res, err := population.ADABinaryMemo(t.x.Trie(), ty, t.op.Func(), budget, t.rep, nil)
+	entries, err := t.build(ty, budget)
 	if err != nil {
 		return 0, 0, err
 	}
-	writes, err := t.reload(res.Entries, [2]uint64{res.SeqX, res.SeqY})
-	return writes, res.Computed, err
+	writes, err := t.reload(entries, t.seqs(ty), budget)
+	return writes, len(entries), err
 }
 
 // PopulateDelta implements controlplane.DeltaTarget (see
 // unaryTarget.PopulateDelta).
 func (t *jointTarget) PopulateDelta(ty *trie.Trie, budget int) (int, int, int, error) {
-	res, err := population.ADABinaryMemo(t.x.Trie(), ty, t.op.Func(), budget, t.rep, &t.memo)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	writes, err := t.commit(res.Entries, [2]uint64{res.SeqX, res.SeqY})
-	return writes, res.Computed, res.Reused, err
+	return t.populate(t.seqs(ty), budget, func() ([]population.BinaryEntry, error) {
+		return t.build(ty, budget)
+	})
 }
 
 // PlaceTiers implements controlplane.TierPlacer, scoring each row by the
@@ -662,8 +696,8 @@ func (s *UnarySystem) SyncCtx(ctx context.Context) (SyncReport, error) {
 
 // Restart models a controller crash and restart: the data plane (monitor
 // registers, calculation table) keeps serving untouched, while the
-// controller's in-memory state — trie, Algorithm 3 memo, shadow record — is
-// lost and rebuilt from the write-ahead journal via controlplane.Recover.
+// controller's in-memory state — trie and shadow record — is lost and
+// rebuilt from the write-ahead journal via controlplane.Recover.
 // Recovery reinstalls the journaled bin layout (zeroing the hit registers,
 // as a switch table reprogram would), reconciles the calculation table with
 // a minimal anti-entropy delta, and finishes with a detect-only verification
@@ -789,9 +823,8 @@ func newBinaryOn(name string, cfg Config, op arith.BinaryOp, engine *arith.Binar
 	if err != nil {
 		return nil, err
 	}
-	// Initial population from the uniform tries, built through the memo so
-	// the first round starts warm.
-	if _, _, _, err := target.PopulateDelta(ctlY.Trie(), cfg.CalcEntries); err != nil {
+	// Initial population from the uniform tries.
+	if _, _, err := target.Populate(ctlY.Trie(), cfg.CalcEntries); err != nil {
 		return nil, err
 	}
 	// Construction-time spills are not round work (see newUnaryOn).

@@ -96,7 +96,7 @@ func runUnaryDifferential(t *testing.T, rounds int, mutate func(*Config), prof *
 		}
 	}
 	if incComputed > fullComputed {
-		t.Errorf("incremental computed %d entries, full %d: memo never reused",
+		t.Errorf("incremental computed %d entries, more than full repopulation's %d",
 			incComputed, fullComputed)
 	}
 	if prof != nil {
@@ -155,8 +155,8 @@ func TestIncrementalRoundDifferentialEWMA(t *testing.T) {
 }
 
 // TestIncrementalBinaryDifferential runs the same equivalence proof for the
-// joint two-operand population, whose memo must survive the post-commit
-// populate ordering (the tries commit before the joint build runs).
+// joint two-operand population, whose shadow key must track x's committed
+// trie as well as y's (x's round commits before the joint build runs).
 func TestIncrementalBinaryDifferential(t *testing.T) {
 	rounds := 300
 	if testing.Short() {
@@ -226,9 +226,8 @@ func (d *ackDropDriver) PopulateCalcDelta(tr *trie.Trie, budget int) (int, int, 
 //     same leaves to different hit masses, so the second clone's build must
 //     not pass for the one already in the table;
 //   - return: the failed round reshapes towards one hot bin, and the next
-//     round brings every other bin back to its committed count, so the
-//     failed round's masses must not be reused for bins the new clone's
-//     dirty set does not cover.
+//     round brings every other bin back to its committed count, so nothing
+//     of the failed round's build may be reused for the new clone.
 func TestIncrementalAfterFailedPopulate(t *testing.T) {
 	uniform := func(lo, hi int) func(*rand.Rand) []uint64 {
 		return func(rng *rand.Rand) []uint64 {

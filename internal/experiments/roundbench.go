@@ -10,8 +10,9 @@ import (
 )
 
 // RoundBenchConfig parameterises the control-round microbenchmark: the
-// incremental round (dirty-subtree repopulation + memoized Algorithm 3 +
-// delta TCAM commit) against full repopulation, swept across churn levels.
+// incremental round (Algorithm 3 skipped while the trie and budget hold,
+// otherwise rebuilt and committed as a delta) against full repopulation,
+// swept across churn levels.
 type RoundBenchConfig struct {
 	// ChurnLevels are the fractions of monitoring bins whose hit counts
 	// change every round (0 = fully converged, 1 = every leaf dirty).

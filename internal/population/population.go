@@ -267,7 +267,9 @@ func crossProduct(f BinaryFunc, xs, ys []bitstr.Prefix, rep Representative) []Bi
 // then walks top-down assigning the entry budget to each subtree in
 // proportion to its aggregated hits (w = 0.5 per side when a subtree has no
 // data), and finally tiles each allocation inside its interval. Hot bins end
-// up with exponentially finer entries than cold bins.
+// up with exponentially finer entries than cold bins. Entries are strictly
+// increasing under bitstr.Prefix.Compare, the order a delta-committing
+// target merges consecutive builds in.
 func ADAUnary(t *trie.Trie, f UnaryFunc, budget int, rep Representative) ([]UnaryEntry, error) {
 	prefixes, err := ADAAllocate(t, budget)
 	if err != nil {
@@ -563,7 +565,9 @@ func EffectiveSupport(t *trie.Trie) float64 {
 // budget is factored into per-dimension budgets proportional to each
 // operand's effective spread (a near-constant divisor needs two entries, not
 // half the table), then each marginal is allocated with Algorithm 3 and the
-// table is the cross product. The full domain remains covered.
+// table is the cross product. The full domain remains covered. The cross
+// product is x-major, so entries are strictly increasing under X.Compare,
+// then Y.Compare.
 func ADABinary(tx, ty *trie.Trie, f BinaryFunc, budget int, rep Representative) ([]BinaryEntry, error) {
 	if budget < 1 {
 		return nil, fmt.Errorf("%w: got %d", ErrBudget, budget)

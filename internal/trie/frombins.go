@@ -10,10 +10,7 @@ import (
 // FromBins rebuilds a trie from a committed leaf snapshot — the inverse of
 // Leaves. The bins must partition the width-bit operand space (the shape a
 // Leaves call on any valid trie produces); order does not matter. The
-// restored trie starts clean: no dirty intervals, change sequence equal to
-// the commit sequence, generation zero — exactly the state a freshly
-// committed trie presents, so a recovered controller's first round diffs
-// against it like any other.
+// restored trie draws its change sequence from a fresh counter.
 func FromBins(width int, bins []Bin) (*Trie, error) {
 	if width < 1 || width > 64 {
 		return nil, fmt.Errorf("%w: got %d", ErrWidth, width)
@@ -73,7 +70,5 @@ func FromBins(width int, bins []Bin) (*Trie, error) {
 	if err := build(t.root, bins); err != nil {
 		return nil, err
 	}
-	t.dirty = nil
-	t.commitSeq = t.seq
 	return t, nil
 }

@@ -48,24 +48,6 @@ func TestFromBinsRoundTrip(t *testing.T) {
 	}
 }
 
-// TestFromBinsStartsClean ensures a rebuilt trie has no pending dirty
-// subtrees: recovery installs and populates explicitly, so the first
-// incremental round after a restart must see a fully committed trie.
-func TestFromBinsStartsClean(t *testing.T) {
-	tr, _ := NewInitial(8, 6)
-	for i := 0; i < 100; i++ {
-		tr.Record(uint64(i % 13))
-	}
-	tr.Rebalance(0.2)
-	got, err := FromBins(6, tr.Leaves())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := got.Dirty(); len(d) != 0 {
-		t.Errorf("rebuilt trie reports dirty subtrees: %v", d)
-	}
-}
-
 func TestFromBinsValidation(t *testing.T) {
 	p := func(s string) bitstr.Prefix {
 		pr, err := bitstr.Parse(s)

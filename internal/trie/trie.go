@@ -70,40 +70,25 @@ type Bin struct {
 // Trie is the mutable binning tree. It is not safe for concurrent use; the
 // control plane owns it exclusively.
 //
-// The trie tracks which leaf intervals changed shape or hit mass since the
-// last CommitGeneration call — the signal the incremental control round uses
-// to skip Algorithm 3 recomputation over clean subtrees. Every mutation also
-// advances a monotonic change sequence, so a population memo can tell "this
-// exact trie content" apart from "a trie that mutated and mutated back across
-// a commit".
+// Every change to leaf shape or hit mass advances a monotonic change
+// sequence, so a calculation target can tell "this exact trie content" apart
+// from "a trie that mutated and mutated back" and skip Algorithm 3 when
+// nothing moved.
 type Trie struct {
 	width  int
 	root   *Node
 	leaves int
 
-	// dirty holds the leaf prefixes whose shape or hit mass changed since
-	// the last CommitGeneration. A split or merge marks the enclosing parent
-	// prefix, which covers every leaf the reshape touched.
-	dirty map[bitstr.Prefix]struct{}
-	// seq takes a fresh value from seqs on every dirty-marking mutation;
-	// gen advances on every CommitGeneration; commitSeq records seq as of
-	// the last commit. seqs is shared by a trie and all its clones, so two
-	// clones that mutate independently — two rounds' shadow clones of one
-	// committed trie — never share a seq.
-	seq       uint64
-	seqs      *atomic.Uint64
-	gen       uint64
-	commitSeq uint64
+	// seq takes a fresh value from seqs on every shape or mass change. seqs
+	// is shared by a trie and all its clones, so two clones that mutate
+	// independently — two rounds' shadow clones of one committed trie —
+	// never share a seq.
+	seq  uint64
+	seqs *atomic.Uint64
 }
 
-// markDirty records that the interval p changed shape or mass.
-func (t *Trie) markDirty(p bitstr.Prefix) {
-	if t.dirty == nil {
-		t.dirty = make(map[bitstr.Prefix]struct{})
-	}
-	t.dirty[p] = struct{}{}
-	t.seq = t.seqs.Add(1)
-}
+// changed advances the change sequence after a shape or mass change.
+func (t *Trie) changed() { t.seq = t.seqs.Add(1) }
 
 // NewInitial runs Algorithm 1: given the monitoring entry budget m over
 // width-bit operands, it builds the trie with b = floor(log2(m)) significant
@@ -140,9 +125,6 @@ func NewInitial(m, width int) (*Trie, error) {
 	if err := grow(t.root, b); err != nil {
 		return nil, err
 	}
-	// Construction is the baseline population, not churn: start clean.
-	t.dirty = nil
-	t.commitSeq = t.seq
 	return t, nil
 }
 
@@ -166,7 +148,7 @@ func (t *Trie) split(n *Node) error {
 	n.right = &Node{prefix: r, hits: half}
 	n.hits = 0
 	t.leaves++
-	t.markDirty(n.prefix)
+	t.changed()
 	return nil
 }
 
@@ -179,7 +161,7 @@ func (t *Trie) merge(n *Node) error {
 	n.hits = n.left.hits + n.right.hits
 	n.left, n.right = nil, nil
 	t.leaves--
-	t.markDirty(n.prefix)
+	t.changed()
 	return nil
 }
 
@@ -243,7 +225,7 @@ func (t *Trie) Record(v uint64) {
 		}
 	}
 	n.hits++
-	t.markDirty(n.prefix)
+	t.changed()
 }
 
 // RecordAll records every value in vs.
@@ -264,7 +246,7 @@ func (t *Trie) SetLeafHits(hits []uint64) error {
 	t.walkLeaves(func(n *Node) {
 		if n.hits != hits[i] {
 			n.hits = hits[i]
-			t.markDirty(n.prefix)
+			t.changed()
 		}
 		i++
 	})
@@ -280,7 +262,7 @@ func (t *Trie) AddLeafHits(hits []uint64) error {
 	t.walkLeaves(func(n *Node) {
 		if hits[i] != 0 {
 			n.hits += hits[i]
-			t.markDirty(n.prefix)
+			t.changed()
 		}
 		i++
 	})
@@ -292,7 +274,7 @@ func (t *Trie) ResetHits() {
 	t.walkLeaves(func(n *Node) {
 		if n.hits != 0 {
 			n.hits = 0
-			t.markDirty(n.prefix)
+			t.changed()
 		}
 	})
 }
@@ -303,7 +285,7 @@ func (t *Trie) DecayHits() {
 	t.walkLeaves(func(n *Node) {
 		if n.hits != 0 {
 			n.hits /= 2
-			t.markDirty(n.prefix)
+			t.changed()
 		}
 	})
 }
@@ -427,9 +409,9 @@ func (t *Trie) Expand() bool {
 	return t.split(hot) == nil
 }
 
-// Clone returns a deep copy, including the dirty-tracking state, so the
-// shadow-trie round workflow (clone → mutate → populate → commit) sees every
-// change accumulated since the last commit.
+// Clone returns a deep copy that carries the change sequence and shares its
+// counter: until it mutates, a clone reports the original's ChangeSeq, and
+// once it does, its ChangeSeq is one no other clone ever reports.
 func (t *Trie) Clone() *Trie {
 	var copyNode func(n *Node) *Node
 	copyNode = func(n *Node) *Node {
@@ -438,64 +420,20 @@ func (t *Trie) Clone() *Trie {
 		}
 		return &Node{prefix: n.prefix, hits: n.hits, left: copyNode(n.left), right: copyNode(n.right)}
 	}
-	c := &Trie{
-		width:     t.width,
-		root:      copyNode(t.root),
-		leaves:    t.leaves,
-		seq:       t.seq,
-		seqs:      t.seqs,
-		gen:       t.gen,
-		commitSeq: t.commitSeq,
+	return &Trie{
+		width:  t.width,
+		root:   copyNode(t.root),
+		leaves: t.leaves,
+		seq:    t.seq,
+		seqs:   t.seqs,
 	}
-	if len(t.dirty) > 0 {
-		c.dirty = make(map[bitstr.Prefix]struct{}, len(t.dirty))
-		for p := range t.dirty {
-			c.dirty[p] = struct{}{}
-		}
-	}
-	return c
 }
-
-// Dirty returns the prefixes whose shape or hit mass changed since the last
-// CommitGeneration, in unspecified order. Merged or split intervals appear as
-// the enclosing parent prefix; a consumer invalidating cached work should
-// treat any cached interval that overlaps a dirty prefix as stale.
-func (t *Trie) Dirty() []bitstr.Prefix {
-	if len(t.dirty) == 0 {
-		return nil
-	}
-	out := make([]bitstr.Prefix, 0, len(t.dirty))
-	for p := range t.dirty {
-		out = append(out, p)
-	}
-	return out
-}
-
-// NumDirty returns the number of distinct dirty prefixes.
-func (t *Trie) NumDirty() int { return len(t.dirty) }
 
 // ChangeSeq returns the monotonic mutation sequence: it advances on every
 // change to leaf shape or mass and never goes backward. A trie and its
 // clones draw values from one shared counter, so two observations with
 // equal ChangeSeq saw identical trie content, even of two different clones.
 func (t *Trie) ChangeSeq() uint64 { return t.seq }
-
-// Generation returns the number of CommitGeneration calls.
-func (t *Trie) Generation() uint64 { return t.gen }
-
-// CommittedSeq returns the value ChangeSeq had at the last CommitGeneration.
-func (t *Trie) CommittedSeq() uint64 { return t.commitSeq }
-
-// CommitGeneration marks the current trie content as installed in the data
-// plane: the dirty set clears, the generation advances, and the committed
-// sequence catches up to ChangeSeq. The controller calls this after a round's
-// populate step succeeds. It returns the new generation.
-func (t *Trie) CommitGeneration() uint64 {
-	t.dirty = nil
-	t.gen++
-	t.commitSeq = t.seq
-	return t.gen
-}
 
 // AggregateHits propagates leaf hits upward so every internal node holds its
 // subtree total (Algorithm 3's updateFreq) and returns the grand total.
