@@ -18,6 +18,7 @@ package core
 
 import (
 	"math/bits"
+	"sort"
 
 	"github.com/ada-repro/ada/internal/controlplane"
 	"github.com/ada-repro/ada/internal/tcam"
@@ -80,13 +81,16 @@ func satMul(a, b uint64) uint64 {
 
 // intervalHeat sums the hit mass the bins attribute to [lo, hi]: each
 // overlapping bin contributes its hits scaled by the overlap fraction. bins
-// are the trie's leaves — disjoint prefix tiles in ascending value order.
+// are the trie's leaves — disjoint prefix tiles in ascending value order —
+// so a binary search finds the first bin ending at or after lo, and the walk
+// stops at the first bin starting past hi.
 func intervalHeat(bins []trie.Bin, lo, hi uint64) uint64 {
 	var total uint64
-	for _, b := range bins {
+	first := sort.Search(len(bins), func(i int) bool { return bins[i].Prefix.Hi() >= lo })
+	for _, b := range bins[first:] {
 		blo, bhi := b.Prefix.Lo(), b.Prefix.Hi()
-		if bhi < lo || blo > hi {
-			continue
+		if blo > hi {
+			break
 		}
 		ovlo, ovhi := max(blo, lo), min(bhi, hi)
 		// A +1 that wraps to 0 encodes a full 2^64-value interval, the

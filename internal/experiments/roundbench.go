@@ -22,18 +22,20 @@ type RoundBenchConfig struct {
 	// Warmup is the untimed rounds run first so both systems reach the
 	// steady structure the churn schedule assumes.
 	Warmup int
-	// MonitorEntries is the monitoring bin count (held fixed: the feed keeps
-	// bins balanced so the structure never reshapes mid-measurement).
+	// MonitorEntries is the monitoring bin count, held fixed (no expansion);
+	// under churn Algorithm 2 still moves bin boundaries every round.
 	MonitorEntries int
 	// CalcBudget is the calculation TCAM budget (the issue's acceptance
 	// point is 1024).
 	CalcBudget int
 	// Width is the operand width in bits.
 	Width int
-	// BaseCount is the per-bin hit count fed each round; churned bins
-	// alternate BaseCount↔1.2·BaseCount so they dirty every round and shift
-	// their allocation share, while the imbalance (0.167) stays below the
-	// 0.20 rebalance threshold and the bin structure never reshapes.
+	// BaseCount is the per-bin hit count fed each round; churned bins swing
+	// between BaseCount and 4·BaseCount in alternating phases (bin i runs
+	// high when round+i is odd), so they dirty every round and move the
+	// power-of-two allocation, and the calculation table is rewritten, at
+	// every churn level above 0 — 100% included, where a single phase
+	// would scale every share together and write nothing.
 	BaseCount int
 }
 
@@ -83,17 +85,17 @@ func roundBenchSystem(cfg RoundBenchConfig, incremental bool) (*core.UnarySystem
 }
 
 // roundBenchFeed builds one round's operand stream: every bin receives
-// BaseCount observations of its low representative value, and the first
-// nChurn bins receive 20% more on odd rounds — so exactly nChurn leaves
-// dirty every round, their allocation share moves, and the distribution
-// stays balanced enough that the structure never reshapes.
+// BaseCount observations of its low representative value, and each of the
+// first nChurn bins receives 4× that when round+i is odd — so exactly
+// nChurn leaves dirty every round, in alternating phases, and their
+// allocation shares move against each other.
 func roundBenchFeed(sys *core.UnarySystem, base, nChurn, round int, buf []uint64) []uint64 {
 	prefixes := sys.Controller().Monitor().Prefixes()
 	buf = buf[:0]
 	for i, p := range prefixes {
 		n := base
-		if i < nChurn && round%2 == 1 {
-			n += base / 5
+		if i < nChurn && (round+i)%2 == 1 {
+			n *= 4
 		}
 		for j := 0; j < n; j++ {
 			buf = append(buf, p.Lo())

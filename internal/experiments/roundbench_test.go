@@ -16,10 +16,12 @@ func shortRoundBenchConfig() RoundBenchConfig {
 }
 
 // TestRoundBenchAcceptance runs the acceptance sweep: a converged (0% churn)
-// incremental round must recompute and write nothing, and no churn level
-// may recompute more than full repopulation. The wall-clock floor (≥5× over
-// full repopulation at the 1024-entry budget) is enforced by
-// `adabench round` (make bench-round), which exits non-zero below it.
+// incremental round must recompute and write nothing, no churn level may
+// recompute more than full repopulation, and every churn level above 0
+// must rewrite the table, with incremental and full rounds writing the same
+// rows. The wall-clock floor (≥5× over full repopulation at the 1024-entry
+// budget) is enforced by `adabench round` (make bench-round), which exits
+// non-zero below it.
 func TestRoundBenchAcceptance(t *testing.T) {
 	cfg := DefaultRoundBenchConfig()
 	if testing.Short() {
@@ -38,6 +40,10 @@ func TestRoundBenchAcceptance(t *testing.T) {
 			if r.IncWrites != 0 {
 				t.Errorf("converged round wrote %.1f TCAM entries, want 0", r.IncWrites)
 			}
+		}
+		if r.Churn > 0 && (r.IncWrites == 0 || r.IncWrites != r.FullWrites) {
+			t.Errorf("churn %.2f: incremental wrote %.1f TCAM rows a round and full %.1f, want equal and above 0",
+				r.Churn, r.IncWrites, r.FullWrites)
 		}
 		if r.IncComputed > r.FullComputed {
 			t.Errorf("churn %.2f: incremental computed %.1f > full %.1f",

@@ -114,10 +114,47 @@ func TestApplyRowsPriorityIsPartOfKey(t *testing.T) {
 	}
 }
 
+// TestApplyRowsAtomicRewritesInsertedRows: a full reload through
+// ApplyRowsAtomic replaces rows a single-row Insert installed, and an
+// over-capacity reload fails without touching them.
+func TestApplyRowsAtomicRewritesInsertedRows(t *testing.T) {
+	tb := MustNew("t", 4, 3)
+	p1, _ := bitstr.Parse("0xx")
+	p2, _ := bitstr.Parse("1xx")
+	if _, err := tb.InsertPrefix(p1, 0, "old"); err != nil {
+		t.Fatal(err)
+	}
+	writes, err := tb.ApplyRowsAtomic([]Row{RowFromPrefix(p1, "a"), RowFromPrefix(p2, "b")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if writes != 2 { // 1 action rewrite + 1 insert
+		t.Errorf("writes = %d, want 2", writes)
+	}
+	if tb.Len() != 2 {
+		t.Errorf("Len = %d, want 2", tb.Len())
+	}
+	e, ok := lookupOne(tb, 6)
+	if !ok || e.Data.(string) != "b" {
+		t.Fatalf("lookup(6) = %v, want b", e)
+	}
+	// Over capacity must fail and leave the table unchanged.
+	rows := make([]Row, 5)
+	for i := range rows {
+		rows[i] = RowFromPrefix(p1, i)
+	}
+	if _, err := tb.ApplyRowsAtomic(rows); !errors.Is(err, ErrCapacity) {
+		t.Fatalf("over-capacity ApplyRowsAtomic error = %v, want ErrCapacity", err)
+	}
+	if tb.Len() != 2 {
+		t.Errorf("table mutated by failed ApplyRowsAtomic: Len = %d", tb.Len())
+	}
+}
+
 // Property: ApplyRowsAtomic reaches the same end state as a full rewrite
 // (delete every installed row, insert every new one) for random row sets,
 // with never more writes.
-func TestQuickApplyRowsMatchesReplaceAll(t *testing.T) {
+func TestQuickApplyRowsAtomicMatchesFullRewrite(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 100; trial++ {
 		width := 4 + rng.Intn(8)

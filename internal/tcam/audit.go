@@ -3,7 +3,6 @@ package tcam
 import (
 	"fmt"
 	"sort"
-	"strings"
 )
 
 // RowDigest is one physical row as read back from the hardware: the match
@@ -34,14 +33,21 @@ func DataEqual(a, b any) bool { return dataEqual(a, b) }
 func (t *Table) ReadRows() ([]RowDigest, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	out := make([]RowDigest, 0, len(t.ordered))
-	for _, e := range t.ordered {
-		fs := make([]Field, len(e.Fields))
-		copy(fs, e.Fields)
-		out = append(out, RowDigest{Key: e.key, Fields: fs, Priority: e.Priority, Data: e.Data})
-	}
+	out := appendDigests(make([]RowDigest, 0, len(t.ordered)), t.ordered, len(t.fieldWidths))
 	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
 	return out, nil
+}
+
+// appendDigests appends a read-back digest of each entry to out, copying
+// every entry's arity fields into one shared slab.
+func appendDigests(out []RowDigest, entries []*Entry, arity int) []RowDigest {
+	slab := make([]Field, 0, len(entries)*arity)
+	for _, e := range entries {
+		slab = append(slab, e.Fields...)
+		fs := slab[len(slab)-arity : len(slab) : len(slab)]
+		out = append(out, RowDigest{Key: e.MatchKey(), Fields: fs, Priority: e.Priority, Data: e.Data})
+	}
+	return out
 }
 
 // AuditFingerprint digests the rows actually installed in hardware by
@@ -59,12 +65,13 @@ func (t *Table) AuditFingerprint() (string, error) {
 // DigestFingerprint renders read-back digests in Fingerprint format so
 // hardware read-backs and shadow fingerprints compare byte-for-byte.
 func DigestFingerprint(rows []RowDigest) string {
-	keys := make([]string, 0, len(rows))
+	lines := make([]string, 0, len(rows))
+	var buf []byte
 	for _, d := range rows {
-		keys = append(keys, d.Key+"="+fmt.Sprint(d.Data))
+		buf = fmt.Append(append(append(buf[:0], d.Key...), '='), d.Data)
+		lines = append(lines, string(buf))
 	}
-	sort.Strings(keys)
-	return strings.Join(keys, "\n")
+	return joinSorted(lines)
 }
 
 // AuditRepair reconciles the physical contents toward the expected
@@ -114,8 +121,8 @@ func (t *Table) TamperInsert(fields []Field, priority int, data any) error {
 		return fmt.Errorf("%w: ghost row %q already installed in table %q",
 			ErrDeltaConflict, matchKey(fields, priority), t.name)
 	}
-	if t.capacity > 0 && len(t.entries) >= t.capacity {
-		return &CapacityError{Table: t.name, Capacity: t.capacity, Installed: len(t.entries), Requested: 1}
+	if t.capacity > 0 && len(t.ordered) >= t.capacity {
+		return &CapacityError{Table: t.name, Capacity: t.capacity, Installed: len(t.ordered), Requested: 1}
 	}
 	t.installLocked(t.newEntryLocked(fields, priority, data))
 	t.tamperLocked()

@@ -363,3 +363,79 @@ func BenchmarkApplyDeltaTiered1k(b *testing.B) {
 	}
 	benchmarkApplyDelta(b, st, 1024)
 }
+
+// BenchmarkRebalance1k re-places a 1024-row tiling over a 128-row TCAM
+// slice under a triangular heat peak that advances 32 rows an iteration, so
+// every Rebalance promotes and demotes rows.
+func BenchmarkRebalance1k(b *testing.B) {
+	const width = 16
+	ts, _ := benchTieredPair(b, 128, 1024, width)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		peak := uint64(i) * 2048
+		if _, err := ts.Rebalance(func(fields []Field, _ int) uint64 {
+			d := (fields[0].Value - peak) & (1<<width - 1)
+			return 1<<width - min(d, 1<<width-d)
+		}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// jointAxis tiles an 8-bit field: 32 /5 blocks, or with alt the upper half
+// re-tiled as 6 /4, 6 /6 and 4 /7 blocks, so half the blocks differ and
+// their prefix lengths mix.
+func jointAxis(alt bool) []Field {
+	var fs []Field
+	v := uint64(0)
+	add := func(sig, n int) {
+		for ; n > 0; n-- {
+			fs = append(fs, Field{Value: v, Mask: 0xff << uint(8-sig) & 0xff})
+			v += 1 << uint(8-sig)
+		}
+	}
+	add(5, 16)
+	if alt {
+		add(4, 6)
+		add(6, 6)
+		add(7, 4)
+	} else {
+		add(5, 16)
+	}
+	return fs
+}
+
+// jointRows is the x × y product of xs with the 32 /5 y blocks.
+func jointRows(xs []Field) []Row {
+	ys := jointAxis(false)
+	rows := make([]Row, 0, len(xs)*len(ys))
+	for _, x := range xs {
+		for _, y := range ys {
+			rows = append(rows, Row{Fields: []Field{x, y}, Data: x.Value<<8 | y.Value})
+		}
+	}
+	return rows
+}
+
+// BenchmarkApplyDeltaJoint1k commits the joint-table shape of a binary
+// system's drifting round: a 1024-row x × y product table of two 8-bit
+// fields whose delta deletes the 512 rows of half the x blocks and inserts
+// 512 rows of mixed prefix lengths in their place, alternating between the
+// two tilings.
+func BenchmarkApplyDeltaJoint1k(b *testing.B) {
+	base := jointAxis(false)
+	tb := MustNew("bench-joint", 0, 8, 8)
+	if _, err := tb.ApplyRowsAtomic(jointRows(base)); err != nil {
+		b.Fatal(err)
+	}
+	out, in := jointRows(base[16:]), jointRows(jointAxis(true)[16:])
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := tb.ApplyDelta(in, out); err != nil {
+			b.Fatal(err)
+		}
+		in, out = out, in
+	}
+}

@@ -22,21 +22,22 @@ func checkKeyIndex(rows []*Entry, x *keyIndex) error {
 	}
 	for i, e := range rows {
 		if i > 0 && !less(rows[i-1], e) {
-			return fmt.Errorf("rows %q and %q out of resolution order", rows[i-1].key, e.key)
+			return fmt.Errorf("rows %q and %q out of resolution order", rows[i-1].MatchKey(), e.MatchKey())
 		}
 		if e.claimed {
-			return fmt.Errorf("entry %q left claimed", e.key)
+			return fmt.Errorf("entry %q left claimed", e.MatchKey())
 		}
 	}
 	checked := make(map[string]bool)
 	for _, e := range rows {
-		if checked[e.key] {
+		key := e.MatchKey()
+		if checked[key] {
 			continue
 		}
-		checked[e.key] = true
+		checked[key] = true
 		var scan, got []*Entry
 		for _, o := range rows {
-			if o.key == e.key {
+			if sameKey(o.Fields, o.Priority, e.Fields, e.Priority) {
 				scan = append(scan, o)
 			}
 		}
@@ -47,25 +48,31 @@ func checkKeyIndex(rows []*Entry, x *keyIndex) error {
 			}
 		}
 		if len(got) != len(scan) {
-			return fmt.Errorf("key %q: index has %d entries, scan %d", e.key, len(got), len(scan))
+			return fmt.Errorf("key %q: index has %d entries, scan %d", key, len(got), len(scan))
 		}
 		for i := range scan {
 			if got[i] != scan[i] {
-				return fmt.Errorf("key %q: index entry %d is seq %d, scan has seq %d", e.key, i, got[i].seq, scan[i].seq)
+				return fmt.Errorf("key %q: index entry %d is seq %d, scan has seq %d", key, i, got[i].seq, scan[i].seq)
 			}
 		}
 		if f := x.first(e.Fields, e.Priority, h); f != scan[0] {
-			return fmt.Errorf("key %q: first is not the oldest entry", e.key)
+			return fmt.Errorf("key %q: first is not the oldest entry", key)
 		}
 	}
 	return nil
 }
 
+// checkTableIndex is checkKeyIndex on a table's resolution order, plus a
+// check that every installed entry has its own ID.
 func checkTableIndex(tb *Table) error {
 	tb.mu.RLock()
 	defer tb.mu.RUnlock()
-	if len(tb.entries) != len(tb.ordered) {
-		return fmt.Errorf("%d entries by ID, %d in resolution order", len(tb.entries), len(tb.ordered))
+	ids := make(map[int]bool, len(tb.ordered))
+	for _, e := range tb.ordered {
+		if ids[e.ID] {
+			return fmt.Errorf("ID %d installed twice", e.ID)
+		}
+		ids[e.ID] = true
 	}
 	return checkKeyIndex(tb.ordered, &tb.keys)
 }

@@ -39,11 +39,6 @@ func (s *sramTier) first(fields []Field, priority int) *Entry {
 	return s.keys.first(fields, priority, keyHash(fields, priority))
 }
 
-// insert installs one row, keeping resolution order.
-func (s *sramTier) insert(r Row) {
-	s.rows = spliceOrdered(s.rows, nil, []*Entry{s.newRow(r)})
-}
-
 // newRow builds and indexes an entry for r; the caller places it in rows.
 func (s *sramTier) newRow(r Row) *Entry {
 	s.nextID++
@@ -53,16 +48,20 @@ func (s *sramTier) newRow(r Row) *Entry {
 	return e
 }
 
-// remove drops the oldest row installed under fields and priority,
-// reporting whether there was one.
-func (s *sramTier) remove(fields []Field, priority int) bool {
-	e := s.first(fields, priority)
-	if e == nil {
-		return false
+// move drops, for each out row, the oldest row installed under its key (one
+// must be), and installs each in row as a new row, in one splice: the SRAM
+// half of a tier placement, or a single tampered row.
+func (s *sramTier) move(out, in []Row) {
+	gone := make([]*Entry, len(out))
+	for i, r := range out {
+		gone[i] = s.first(r.Fields, r.Priority)
+		s.keys.remove(gone[i])
 	}
-	s.rows = spliceOrdered(s.rows, []*Entry{e}, nil)
-	s.keys.remove(e)
-	return true
+	added := make([]*Entry, len(in))
+	for i, r := range in {
+		added[i] = s.newRow(r)
+	}
+	s.rows = spliceOrdered(s.rows, gone, added)
 }
 
 // replace reconciles the tier contents toward rows with minimal row writes

@@ -94,9 +94,9 @@ func (e *CapacityError) Headroom() int {
 	return 0
 }
 
-// RowKey serialises a row's match fields and priority exactly as the table's
-// internal match keys used for diffing and fingerprints. Tenant slices use it
-// to fingerprint their tenant-local view identically to a private table.
+// RowKey serialises a row's match fields and priority exactly as MatchKey,
+// fingerprints and read-backs render them. Tenant slices use it to
+// fingerprint their tenant-local view identically to a private table.
 func RowKey(fields []Field, priority int) string {
 	return matchKey(fields, priority)
 }

@@ -84,7 +84,8 @@ func (f Field) SigBits() int { return bits.OnesCount64(f.Mask) }
 // Matches reports whether key satisfies the field pattern.
 func (f Field) Matches(key uint64) bool { return key&f.Mask == f.Value }
 
-// Entry is one installed TCAM row.
+// Entry is one installed TCAM row. Fields and Priority are immutable; the
+// match key rendered from them (MatchKey) is not stored.
 type Entry struct {
 	// ID is the table-unique identifier assigned at insert.
 	ID int
@@ -103,19 +104,17 @@ type Entry struct {
 	// claimed marks an entry a reconciliation in progress has consumed; set
 	// and cleared within one locked call (see keyIndex.claim).
 	claimed bool
-	key     string // canonical match key serialised once at insert; Fields/Priority are immutable
 	next    *Entry // next entry of the same keyIndex hash chain, in ascending seq
 }
 
 // SigBits returns the total number of significant bits across all fields.
 func (e *Entry) SigBits() int { return e.sig }
 
-// MatchKey returns the entry's canonical serialised match key (fields plus
-// priority), computed once at insert time. Fingerprints, read-backs
-// (RowDigest.Key), error messages and Rebalance's tie-break read it; row
-// lookups during reconciliation go through the table's hashed key index
-// instead and never build a string.
-func (e *Entry) MatchKey() string { return e.key }
+// MatchKey renders the entry's canonical serialised match key (fields plus
+// priority) afresh on each call, for fingerprints, read-backs
+// (RowDigest.Key), error messages and Rebalance's tie-break; reconciliation
+// finds rows through the table's hashed key index and builds no string.
+func (e *Entry) MatchKey() string { return matchKey(e.Fields, e.Priority) }
 
 // Stats counts row writes since creation (or the last ResetStats).
 type Stats struct {
@@ -133,14 +132,14 @@ type counters struct {
 
 // Table is a ternary match table with bounded capacity. It is safe for
 // concurrent use; LookupIndexBatch is lock-free against a compiled index
-// snapshot (see index.go) and scales across goroutines.
+// snapshot (see index.go) and scales across goroutines. Each installed row
+// is recorded twice: in the resolution order and in the hashed key index.
 type Table struct {
 	mu sync.RWMutex
 
 	name        string
 	capacity    int
 	fieldWidths []int
-	entries     map[int]*Entry
 	ordered     []*Entry // resolution order: sig desc, priority desc, seq asc
 	keys        keyIndex // match key → installed entries, oldest first
 	nextID      int
@@ -181,7 +180,6 @@ func New(name string, capacity int, fieldWidths ...int) (*Table, error) {
 		name:        name,
 		capacity:    capacity,
 		fieldWidths: widths,
-		entries:     make(map[int]*Entry),
 	}, nil
 }
 
@@ -204,7 +202,7 @@ func (t *Table) Capacity() int { return t.capacity }
 func (t *Table) Len() int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return len(t.entries)
+	return len(t.ordered)
 }
 
 // Occupancy returns installed/capacity in [0,1]; 0 for unbounded tables.
@@ -214,7 +212,7 @@ func (t *Table) Occupancy() float64 {
 	if t.capacity <= 0 {
 		return 0
 	}
-	return float64(len(t.entries)) / float64(t.capacity)
+	return float64(len(t.ordered)) / float64(t.capacity)
 }
 
 // FieldWidths returns a copy of the declared per-field widths.
@@ -319,12 +317,7 @@ func (t *Table) Version() uint64 { return t.version.Load() }
 func (t *Table) Fingerprint() string {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	keys := make([]string, 0, len(t.ordered))
-	for _, e := range t.ordered {
-		keys = append(keys, e.key+"="+fmt.Sprint(e.Data))
-	}
-	sort.Strings(keys)
-	return strings.Join(keys, "\n")
+	return joinSorted(appendLines(make([]string, 0, len(t.ordered)), t.ordered))
 }
 
 // writeLocked consults the write hook for one physical row operation.
@@ -366,8 +359,8 @@ func (t *Table) Insert(fields []Field, priority int, data any) (int, error) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.capacity > 0 && len(t.entries) >= t.capacity {
-		return 0, &CapacityError{Table: t.name, Capacity: t.capacity, Installed: len(t.entries), Requested: 1}
+	if t.capacity > 0 && len(t.ordered) >= t.capacity {
+		return 0, &CapacityError{Table: t.name, Capacity: t.capacity, Installed: len(t.ordered), Requested: 1}
 	}
 	if err := t.writeLocked(WriteInsert); err != nil {
 		return 0, err
@@ -386,8 +379,8 @@ func (t *Table) newEntryLocked(fields []Field, priority int, data any) *Entry {
 	return newEntry(t.nextID, t.nextSeq, fields, priority, data)
 }
 
-// newEntry builds an entry with its cached sig bits and canonical match key.
-// The fields slice is copied.
+// newEntry builds an entry with its cached sig bits. The fields slice is
+// copied.
 func newEntry(id, seq int, fields []Field, priority int, data any) *Entry {
 	fs := make([]Field, len(fields))
 	copy(fs, fields)
@@ -395,23 +388,18 @@ func newEntry(id, seq int, fields []Field, priority int, data any) *Entry {
 	for _, f := range fs {
 		sig += f.SigBits()
 	}
-	return &Entry{
-		ID: id, Fields: fs, Priority: priority, Data: data,
-		sig: sig, seq: seq, key: matchKey(fs, priority),
-	}
+	return &Entry{ID: id, Fields: fs, Priority: priority, Data: data, sig: sig, seq: seq}
 }
 
-// installLocked adds e to the ID map, the resolution order and the key
-// index; t.mu must be held.
+// installLocked adds e to the resolution order and the key index; t.mu must
+// be held.
 func (t *Table) installLocked(e *Entry) {
-	t.entries[e.ID] = e
 	t.ordered = spliceOrdered(t.ordered, nil, []*Entry{e})
 	t.keys.add(e)
 }
 
 // uninstallLocked is installLocked's inverse; t.mu must be held.
 func (t *Table) uninstallLocked(e *Entry) {
-	delete(t.entries, e.ID)
 	t.ordered = spliceOrdered(t.ordered, []*Entry{e}, nil)
 	t.keys.remove(e)
 }
@@ -442,23 +430,27 @@ func orderedPos(ordered []*Entry, e *Entry) int {
 // spliceOrdered removes gone (all present) from a resolution-ordered slice
 // and inserts added, in one forward and one backward pass of block moves:
 // O(n + k log n) for k spliced entries, where moving each one separately
-// would shift the slice k times. It sorts gone and added in place.
+// would shift the slice k times. gone, in any order, is located by binary
+// search. added must be fresh entries, seqs ascending in slice order, as
+// every caller's are; a delta of one priority then takes resolution order
+// from a bucket pass on sig, comparing no entries (see freshOrder).
 func spliceOrdered(ordered, gone, added []*Entry) []*Entry {
 	if len(gone) > 0 {
-		slices.SortFunc(gone, cmpOrder)
-		w := orderedPos(ordered, gone[0]) // ordered[:w] is final
-		r := w                            // ordered[r:] is untouched
-		for _, g := range gone {
-			p := r + orderedPos(ordered[r:], g)
-			w += copy(ordered[w:], ordered[r:p])
-			r = p + 1
+		pos := make([]int, len(gone), len(gone)+1)
+		for i, g := range gone {
+			pos[i] = orderedPos(ordered, g)
 		}
-		w += copy(ordered[w:], ordered[r:])
+		slices.Sort(pos)
+		pos = append(pos, len(ordered)) // the end of the last kept block
+		w := pos[0]                     // ordered[:w] is final
+		for i, p := range pos[:len(gone)] {
+			w += copy(ordered[w:], ordered[p+1:pos[i+1]])
+		}
 		clear(ordered[w:])
 		ordered = ordered[:w]
 	}
 	if len(added) > 0 {
-		slices.SortFunc(added, cmpOrder)
+		added = freshOrder(added)
 		n := len(ordered)
 		ordered = slices.Grow(ordered, len(added))[:n+len(added)]
 		// Place added from the largest down: the block of ordered[:end]
@@ -474,19 +466,47 @@ func spliceOrdered(ordered, gone, added []*Entry) []*Entry {
 	return ordered
 }
 
+// freshOrder returns fresh entries in resolution order. With one priority
+// that is a stable counting sort on sig, descending, which keeps their seqs
+// ascending; several priorities fall back to a comparison sort.
+func freshOrder(added []*Entry) []*Entry {
+	hi := 0
+	for _, e := range added {
+		if e.Priority != added[0].Priority {
+			slices.SortFunc(added, cmpOrder)
+			return added
+		}
+		hi = max(hi, e.sig)
+	}
+	next := make([]int, hi+2) // next[hi-sig]: the bucket's next slot
+	for _, e := range added {
+		next[hi-e.sig+1]++
+	}
+	for b := 1; b < len(next); b++ {
+		next[b] += next[b-1]
+	}
+	out := make([]*Entry, len(added))
+	for _, e := range added {
+		out[next[hi-e.sig]] = e
+		next[hi-e.sig]++
+	}
+	return out
+}
+
 // cmpOrder is less as a three-way comparison.
 func cmpOrder(a, b *Entry) int {
 	return cmp.Or(cmp.Compare(b.sig, a.sig), cmp.Compare(b.Priority, a.Priority), cmp.Compare(a.seq, b.seq))
 }
 
-// Delete removes the entry with the given ID.
+// Delete removes the entry with the given ID, found by a scan.
 func (t *Table) Delete(id int) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	e, ok := t.entries[id]
-	if !ok {
+	i := slices.IndexFunc(t.ordered, func(e *Entry) bool { return e.ID == id })
+	if i < 0 {
 		return fmt.Errorf("%w: id %d in table %q", ErrNotFound, id, t.name)
 	}
+	e := t.ordered[i]
 	if err := t.writeLocked(WriteDelete); err != nil {
 		return err
 	}
@@ -496,16 +516,18 @@ func (t *Table) Delete(id int) error {
 	return nil
 }
 
-// UpdateData replaces the action data of an existing entry in place. This
+// UpdateData replaces the action data of an existing entry, found by a
+// scan, in place. This
 // models the cheap control-plane write that rewrites an action without
 // touching the match key.
 func (t *Table) UpdateData(id int, data any) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	e, ok := t.entries[id]
-	if !ok {
+	i := slices.IndexFunc(t.ordered, func(e *Entry) bool { return e.ID == id })
+	if i < 0 {
 		return fmt.Errorf("%w: id %d in table %q", ErrNotFound, id, t.name)
 	}
+	e := t.ordered[i]
 	if err := t.writeLocked(WriteUpdate); err != nil {
 		return err
 	}
@@ -520,8 +542,7 @@ func (t *Table) UpdateData(id int, data any) error {
 func (t *Table) Clear() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.stats.deletes.Add(uint64(len(t.entries)))
-	t.entries = make(map[int]*Entry)
+	t.stats.deletes.Add(uint64(len(t.ordered)))
 	clear(t.ordered)
 	t.ordered = t.ordered[:0]
 	clear(t.keys.heads)
@@ -686,7 +707,7 @@ func (t *Table) applyRowsAtomicLocked(rows []Row) (writes int, err error) {
 // t.mu must be held.
 func (t *Table) applyRowsLocked(rows []Row) (writes int, err error) {
 	if t.capacity > 0 && len(rows) > t.capacity {
-		return 0, &CapacityError{Table: t.name, Capacity: t.capacity, Installed: len(t.entries), Requested: len(rows)}
+		return 0, &CapacityError{Table: t.name, Capacity: t.capacity, Installed: len(t.ordered), Requested: len(rows)}
 	}
 	// Each target row claims the oldest unclaimed entry under its key; rows
 	// left without one are inserts, entries left unclaimed are stale.
@@ -717,7 +738,6 @@ func (t *Table) applyRowsLocked(rows []Row) (writes int, err error) {
 		if err := t.writeLocked(WriteDelete); err != nil {
 			return writes, err
 		}
-		delete(t.entries, e.ID)
 		t.keys.remove(e)
 		t.stats.deletes.Add(1)
 		writes++
@@ -731,7 +751,6 @@ func (t *Table) applyRowsLocked(rows []Row) (writes int, err error) {
 			return writes, err
 		}
 		e := t.newEntryLocked(r.Fields, r.Priority, r.Data)
-		t.entries[e.ID] = e
 		t.keys.add(e)
 		added = append(added, e)
 		t.stats.inserts.Add(1)
@@ -776,8 +795,8 @@ func (t *Table) ApplyDelta(upserts, deletes []Row) (writes int, err error) {
 
 // applyDeltaLocked is ApplyDelta on validated rows; t.mu must be held.
 func (t *Table) applyDeltaLocked(upserts, deletes []Row) (writes int, err error) {
-	// Rows enter and leave the ID map and the key index as they are
-	// written; the resolution order is spliced once, on success. Undo log:
+	// Rows enter and leave the key index as they are written; the
+	// resolution order is spliced once, on success. Undo log:
 	// each applied physical op records how to reverse itself. Rollback
 	// replays it in reverse; re-indexing the original *Entry restores its
 	// key-index chain position because its seq is preserved.
@@ -797,12 +816,10 @@ func (t *Table) applyDeltaLocked(upserts, deletes []Row) (writes int, err error)
 			u := undo[i]
 			switch u.op {
 			case WriteDelete:
-				t.entries[u.e.ID] = u.e
 				t.keys.add(u.e)
 			case WriteUpdate:
 				u.e.Data = u.oldData
 			case WriteInsert:
-				delete(t.entries, u.e.ID)
 				t.keys.remove(u.e)
 			}
 		}
@@ -826,7 +843,6 @@ func (t *Table) applyDeltaLocked(upserts, deletes []Row) (writes int, err error)
 			rollback()
 			return 0, err
 		}
-		delete(t.entries, e.ID)
 		t.keys.remove(e)
 		gone = append(gone, e)
 		t.stats.deletes.Add(1)
@@ -848,16 +864,15 @@ func (t *Table) applyDeltaLocked(upserts, deletes []Row) (writes int, err error)
 			writes++
 			continue
 		}
-		if t.capacity > 0 && len(t.entries) >= t.capacity {
+		if installed := len(t.ordered) - len(gone) + len(added); t.capacity > 0 && installed >= t.capacity {
 			rollback()
-			return 0, &CapacityError{Table: t.name, Capacity: t.capacity, Installed: len(t.entries), Requested: 1}
+			return 0, &CapacityError{Table: t.name, Capacity: t.capacity, Installed: installed, Requested: 1}
 		}
 		if err := t.writeLocked(WriteInsert); err != nil {
 			rollback()
 			return 0, err
 		}
 		e := t.newEntryLocked(r.Fields, r.Priority, r.Data)
-		t.entries[e.ID] = e
 		t.keys.add(e)
 		added = append(added, e)
 		t.stats.inserts.Add(1)
@@ -873,7 +888,6 @@ func (t *Table) applyDeltaLocked(upserts, deletes []Row) (writes int, err error)
 // tableSnapshot captures the mutable table state for rollback, write
 // counters included.
 type tableSnapshot struct {
-	entries map[int]*Entry
 	ordered []*Entry
 	nextID  int
 	nextSeq int
@@ -887,7 +901,6 @@ type tableSnapshot struct {
 // because updates replace Data rather than mutating through it).
 func (t *Table) snapshotLocked() tableSnapshot {
 	snap := tableSnapshot{
-		entries: make(map[int]*Entry, len(t.entries)),
 		ordered: make([]*Entry, len(t.ordered)),
 		nextID:  t.nextID,
 		nextSeq: t.nextSeq,
@@ -900,14 +913,12 @@ func (t *Table) snapshotLocked() tableSnapshot {
 		c := &copies[i]
 		*c = *e
 		snap.ordered[i] = c
-		snap.entries[c.ID] = c
 	}
 	return snap
 }
 
 // restoreLocked reinstates a snapshot, re-indexing its entry copies.
 func (t *Table) restoreLocked(snap tableSnapshot) {
-	t.entries = snap.entries
 	t.ordered = snap.ordered
 	t.keys.reset(snap.ordered)
 	t.nextID = snap.nextID
@@ -921,16 +932,37 @@ func (t *Table) restoreLocked(snap tableSnapshot) {
 // matchKey serialises a row's match fields and priority into the canonical
 // key that fingerprints, read-backs and error messages carry.
 func matchKey(fields []Field, priority int) string {
-	var b strings.Builder
-	b.Grow(len(fields)*34 + 12)
+	var buf [80]byte
+	return string(appendKey(buf[:0], fields, priority))
+}
+
+// appendKey appends matchKey's rendering to b: each field as hex
+// value/mask closed by ';', then the decimal priority.
+func appendKey(b []byte, fields []Field, priority int) []byte {
 	for _, f := range fields {
-		b.WriteString(strconv.FormatUint(f.Value, 16))
-		b.WriteByte('/')
-		b.WriteString(strconv.FormatUint(f.Mask, 16))
-		b.WriteByte(';')
+		b = strconv.AppendUint(b, f.Value, 16)
+		b = append(b, '/')
+		b = strconv.AppendUint(b, f.Mask, 16)
+		b = append(b, ';')
 	}
-	b.WriteString(strconv.Itoa(priority))
-	return b.String()
+	return strconv.AppendInt(b, int64(priority), 10)
+}
+
+// appendLines appends Fingerprint's "key=data" line for each entry,
+// rendering through one reused buffer: one allocation per line.
+func appendLines(lines []string, es []*Entry) []string {
+	var buf []byte
+	for _, e := range es {
+		buf = fmt.Append(append(appendKey(buf[:0], e.Fields, e.Priority), '='), e.Data)
+		lines = append(lines, string(buf))
+	}
+	return lines
+}
+
+// joinSorted renders lines in Fingerprint's format: sorted, newline-joined.
+func joinSorted(lines []string) string {
+	sort.Strings(lines)
+	return strings.Join(lines, "\n")
 }
 
 // dataEqual compares action data without panicking on non-comparable types.
@@ -956,7 +988,7 @@ func (t *Table) String() string {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	var b strings.Builder
-	fmt.Fprintf(&b, "tcam %q: %d", t.name, len(t.entries))
+	fmt.Fprintf(&b, "tcam %q: %d", t.name, len(t.ordered))
 	if t.capacity > 0 {
 		fmt.Fprintf(&b, "/%d", t.capacity)
 	}

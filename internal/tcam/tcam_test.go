@@ -183,42 +183,6 @@ func TestFieldValidation(t *testing.T) {
 	}
 }
 
-// TestReplaceAll: a full reload through ApplyRowsAtomic replaces the table
-// contents, and an over-capacity reload fails without touching them.
-func TestReplaceAll(t *testing.T) {
-	tb := MustNew("t", 4, 3)
-	p1, _ := bitstr.Parse("0xx")
-	p2, _ := bitstr.Parse("1xx")
-	if _, err := tb.InsertPrefix(p1, 0, "old"); err != nil {
-		t.Fatal(err)
-	}
-	writes, err := tb.ApplyRowsAtomic([]Row{RowFromPrefix(p1, "a"), RowFromPrefix(p2, "b")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if writes != 2 { // 1 action rewrite + 1 insert
-		t.Errorf("writes = %d, want 2", writes)
-	}
-	if tb.Len() != 2 {
-		t.Errorf("Len = %d, want 2", tb.Len())
-	}
-	e, ok := lookupOne(tb, 6)
-	if !ok || e.Data.(string) != "b" {
-		t.Fatalf("lookup(6) = %v, want b", e)
-	}
-	// Over capacity must fail and leave the table unchanged.
-	rows := make([]Row, 5)
-	for i := range rows {
-		rows[i] = RowFromPrefix(p1, i)
-	}
-	if _, err := tb.ApplyRowsAtomic(rows); !errors.Is(err, ErrCapacity) {
-		t.Fatalf("over-capacity ApplyRowsAtomic error = %v, want ErrCapacity", err)
-	}
-	if tb.Len() != 2 {
-		t.Errorf("table mutated by failed ApplyRowsAtomic: Len = %d", tb.Len())
-	}
-}
-
 func TestStats(t *testing.T) {
 	tb := MustNew("t", 0, 3)
 	p, _ := bitstr.Parse("1xx")

@@ -22,7 +22,7 @@
 // TakeSRAMWrites, so the control plane can charge the two memories at their
 // real, very different costs.
 //
-// Tier placement is a control-plane decision: Rebalance ranks every row by a
+// Tier placement is a control-plane decision: Rebalance ranks the rows by a
 // caller-supplied heat score (derived from the same per-bin hit registers
 // Algorithm 2 reads) and moves rows between tiers so the TCAM slice holds
 // the hottest ones. Placement changes which memory serves a row, never the
@@ -32,8 +32,10 @@
 package tcam
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -346,7 +348,7 @@ func (s *TieredStore) ApplyDelta(upserts, deletes []Row) (writes int, err error)
 // spilling to SRAM. s.mu and s.hot.mu must be held.
 func (s *TieredStore) stageDeltaLocked(upserts, deletes []Row) (hotUp, hotDel, coldUp, coldDel []Row, err error) {
 	hot, cold := s.hot, s.cold
-	hotLen, coldLen := len(hot.entries), cold.len()
+	hotLen, coldLen := len(hot.ordered), cold.len()
 	var held []*Entry
 	defer func() {
 		for _, e := range held {
@@ -451,15 +453,7 @@ func (f *freshKeys) add(r Row, h uint64, hot bool, sizeHint int) {
 func (s *TieredStore) Fingerprint() string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	keys := make([]string, 0, s.hot.Len()+s.cold.len())
-	for _, e := range s.hot.Entries() {
-		keys = append(keys, e.key+"="+fmt.Sprint(e.Data))
-	}
-	for _, e := range s.cold.rows {
-		keys = append(keys, e.key+"="+fmt.Sprint(e.Data))
-	}
-	sort.Strings(keys)
-	return strings.Join(keys, "\n")
+	return joinSorted(appendLines(appendLines(nil, s.hot.Entries()), s.cold.rows))
 }
 
 // ReadRows reads back the physically installed rows of both tiers, sorted
@@ -471,11 +465,7 @@ func (s *TieredStore) ReadRows() ([]RowDigest, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, e := range s.cold.rows {
-		fs := make([]Field, len(e.Fields))
-		copy(fs, e.Fields)
-		out = append(out, RowDigest{Key: e.key, Fields: fs, Priority: e.Priority, Data: e.Data})
-	}
+	out = appendDigests(out, s.cold.rows, len(s.widths))
 	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
 	return out, nil
 }
@@ -549,7 +539,7 @@ func (s *TieredStore) TamperInsert(fields []Field, priority int, data any) error
 			return fmt.Errorf("%w: ghost row %q already installed in tiered store %q",
 				ErrDeltaConflict, matchKey(fields, priority), s.name)
 		}
-		s.cold.insert(Row{Fields: fields, Priority: priority, Data: data})
+		s.cold.move(nil, []Row{{Fields: fields, Priority: priority, Data: data}})
 	}
 	s.seq.Add(1)
 	return nil
@@ -568,7 +558,8 @@ func (s *TieredStore) TamperDelete(fields []Field, priority int) error {
 	if !errors.Is(err, ErrNotFound) {
 		return err
 	}
-	if s.cold.remove(fields, priority) {
+	if s.cold.first(fields, priority) != nil {
+		s.cold.move([]Row{{Fields: fields, Priority: priority}}, nil)
 		s.seq.Add(1)
 		return nil
 	}
@@ -578,9 +569,10 @@ func (s *TieredStore) TamperDelete(fields []Field, priority int) error {
 // Rebalance re-ranks every installed row by heat and moves rows between
 // tiers so the TCAM slice holds the hottest ones. Ties keep the incumbent
 // tier (hysteresis: equal heat never causes a swap), then break by match
-// key for determinism. The TCAM half of the move set commits
-// transactionally; on its failure the store is unchanged. A converged
-// placement returns zero moves and performs no writes.
+// key for determinism (see rankLocked). The TCAM half of the move set
+// commits transactionally; on its failure the store is unchanged. The SRAM
+// half is one splice. A converged placement returns zero moves and performs
+// no writes.
 //
 // Placement advances the snapshot sequence, never Version: the logical
 // population is untouched, so Version-guarded controller shadows remain
@@ -588,52 +580,7 @@ func (s *TieredStore) TamperDelete(fields []Field, priority int) error {
 func (s *TieredStore) Rebalance(heat RowHeat) (TierMoves, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-
-	type scored struct {
-		row Row
-		key string
-		h   uint64
-		hot bool
-	}
-	hotEntries := s.hot.Entries()
-	all := make([]scored, 0, len(hotEntries)+s.cold.len())
-	for _, e := range hotEntries {
-		all = append(all, scored{
-			row: Row{Fields: e.Fields, Priority: e.Priority, Data: e.Data},
-			key: e.key, h: heat(e.Fields, e.Priority), hot: true,
-		})
-	}
-	for _, e := range s.cold.rows {
-		all = append(all, scored{
-			row: Row{Fields: e.Fields, Priority: e.Priority, Data: e.Data},
-			key: e.key, h: heat(e.Fields, e.Priority),
-		})
-	}
-	sort.SliceStable(all, func(i, j int) bool {
-		if all[i].h != all[j].h {
-			return all[i].h > all[j].h
-		}
-		if all[i].hot != all[j].hot {
-			return all[i].hot
-		}
-		return all[i].key < all[j].key
-	})
-
-	want := s.hot.capacity
-	if want > len(all) {
-		want = len(all)
-	}
-	var promote, demote []Row
-	for _, sc := range all[:want] {
-		if !sc.hot {
-			promote = append(promote, sc.row)
-		}
-	}
-	for _, sc := range all[want:] {
-		if sc.hot {
-			demote = append(demote, sc.row)
-		}
-	}
+	promote, demote := s.rankLocked(heat)
 	if len(promote) == 0 && len(demote) == 0 {
 		return TierMoves{}, nil
 	}
@@ -646,15 +593,116 @@ func (s *TieredStore) Rebalance(heat RowHeat) (TierMoves, error) {
 		s.seq.Add(1)
 		return TierMoves{}, err
 	}
-	for _, r := range promote {
-		s.cold.remove(r.Fields, r.Priority)
-	}
-	for _, r := range demote {
-		s.cold.insert(r)
-	}
+	s.cold.move(promote, demote)
 	s.sramWrites.Add(uint64(len(promote) + len(demote)))
 	s.promotions.Add(uint64(len(promote)))
 	s.demotions.Add(uint64(len(demote)))
 	s.seq.Add(1)
 	return TierMoves{Promotions: len(promote), Demotions: len(demote), TCAMWrites: tcamWrites}, nil
+}
+
+// ranked is a row Rebalance may move, with its heat and its match key,
+// rendered only when a heat tie needs it.
+type ranked struct {
+	e   *Entry
+	h   uint64
+	key string
+}
+
+// rankLocked picks Rebalance's moves without sorting every row: the slice
+// takes every row hotter than the want-th largest heat, then the rows tied
+// at it that fit, incumbents first, then by match key. That is the prefix
+// of a stable sort of every row (TCAM tier first) by (heat desc, incumbent
+// first, key asc). The move lists come in (heat desc, key asc) order, the
+// order their new entries take seqs in. s.mu must be held.
+func (s *TieredStore) rankLocked(heat RowHeat) (promote, demote []Row) {
+	hotEntries := s.hot.Entries()
+	rows := append(hotEntries, s.cold.rows...)
+	hs := make([]uint64, len(rows))
+	for i, e := range rows {
+		hs[i] = heat(e.Fields, e.Priority)
+	}
+	want := min(s.hot.capacity, len(rows))
+	if want == 0 {
+		return nil, nil
+	}
+	t := nthLargest(slices.Clone(hs), want)
+	free := want // slots left for rows tied at t
+	var up, down, hotTied, coldTied []ranked
+	for i, h := range hs {
+		r, hot := ranked{e: rows[i], h: h}, i < len(hotEntries)
+		switch {
+		case h > t:
+			free--
+			if !hot {
+				up = append(up, r)
+			}
+		case h < t:
+			if hot {
+				down = append(down, r)
+			}
+		case hot:
+			hotTied = append(hotTied, r)
+		default:
+			coldTied = append(coldTied, r)
+		}
+	}
+	if len(hotTied) > free {
+		down = append(down, byHeatKey(hotTied)[free:]...)
+	} else if need := free - len(hotTied); need > 0 {
+		up = append(up, byHeatKey(coldTied)[:need]...)
+	}
+	return movedRows(byHeatKey(up)), movedRows(byHeatKey(down))
+}
+
+// byHeatKey renders the keys of rs and sorts them by heat descending, then
+// match key; rows equal in both keep their order, which callers build in
+// the ranking's input order.
+func byHeatKey(rs []ranked) []ranked {
+	for i := range rs {
+		if rs[i].key == "" {
+			rs[i].key = rs[i].e.MatchKey()
+		}
+	}
+	slices.SortStableFunc(rs, func(a, b ranked) int {
+		return cmp.Or(cmp.Compare(b.h, a.h), strings.Compare(a.key, b.key))
+	})
+	return rs
+}
+
+func movedRows(rs []ranked) []Row {
+	out := make([]Row, len(rs))
+	for i, r := range rs {
+		out[i] = Row{Fields: r.e.Fields, Priority: r.e.Priority, Data: r.e.Data}
+	}
+	return out
+}
+
+// nthLargest returns the nth largest of hs (1 ≤ n ≤ len(hs)), reordering
+// hs: a quickselect with three-way partitions, so equal heats cost one pass.
+func nthLargest(hs []uint64, n int) uint64 {
+	for {
+		pivot := hs[len(hs)/2]
+		gt, i, lt := 0, 0, len(hs) // hs[:gt] > pivot, hs[lt:] < pivot
+		for i < lt {
+			switch {
+			case hs[i] > pivot:
+				hs[gt], hs[i] = hs[i], hs[gt]
+				gt, i = gt+1, i+1
+			case hs[i] < pivot:
+				lt--
+				hs[lt], hs[i] = hs[i], hs[lt]
+			default:
+				i++
+			}
+		}
+		switch {
+		case n <= gt:
+			hs = hs[:gt]
+		case n > lt:
+			hs, n = hs[lt:], n-lt
+		default:
+			return pivot
+		}
+	}
 }
