@@ -75,8 +75,9 @@ func (d *DirectDriver) AuditCalc(repair bool) (AuditReport, error) {
 // population and classifies every divergent row: same key but different
 // data = corrupted, physically present but not expected = ghost, expected
 // but physically absent = missing. With repair set and any divergence
-// found, it commits the store's minimal anti-entropy repair delta. This is
-// the shared classifier behind every AuditableTarget.
+// found, it repairs through the store's ApplyRowsAtomic, which reconciles
+// the physical rows toward expect with minimal writes. This is the shared
+// classifier behind every AuditableTarget.
 func AuditStore(st tcam.Store, expect []tcam.Row, repair bool) (AuditReport, error) {
 	digests, err := st.ReadRows()
 	if err != nil {
@@ -106,7 +107,7 @@ func AuditStore(st tcam.Store, expect []tcam.Row, repair bool) (AuditReport, err
 		}
 	}
 	if repair && rep.Mismatched() > 0 {
-		writes, err := st.AuditRepair(expect)
+		writes, err := st.ApplyRowsAtomic(expect)
 		if err != nil {
 			return rep, err
 		}

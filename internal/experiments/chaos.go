@@ -72,7 +72,8 @@ type ChaosReport struct {
 	Audits, AuditMismatches, RepairWrites uint64
 	// HealedAfterQuiesce reports that, once injection stopped, the audits
 	// reconciled the physical joint table with the controller shadow within
-	// one audit period (only meaningful with AuditEvery set).
+	// one audit period: a detect-only audit against the shadow then reads
+	// clean (only meaningful with AuditEvery set).
 	HealedAfterQuiesce bool
 	// InvariantViolations lists transactional-invariant breaches observed
 	// after control rounds; a clean run has none.
@@ -226,11 +227,11 @@ func RunFig8Chaos(cfg ChaosConfig) (ChaosReport, error) {
 				break
 			}
 		}
-		afp, err := calc.AuditFingerprint()
+		aud, err := ada.Controller().Driver().(controlplane.Auditor).AuditCalc(false)
 		if err != nil {
 			return rep, err
 		}
-		rep.HealedAfterQuiesce = afp == calc.Fingerprint()
+		rep.HealedAfterQuiesce = aud.Clean()
 	}
 
 	tot := ada.Controller().Totals()

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"github.com/ada-repro/ada/internal/arith"
+	"github.com/ada-repro/ada/internal/controlplane"
 	"github.com/ada-repro/ada/internal/core"
 	"github.com/ada-repro/ada/internal/dist"
 	"github.com/ada-repro/ada/internal/stats"
@@ -202,12 +203,12 @@ func RunRecoveryBench(cfg RecoveryBenchConfig) ([]RecoveryBenchRow, error) {
 			return nil, fmt.Errorf("recoverybench: restart at rate %.2f: %w", rate, err)
 		}
 		row.RestartCalcWrites = rrep.CalcWrites
-		afp, err := tb.AuditFingerprint()
+		aud, err := sys.Controller().Driver().(controlplane.Auditor).AuditCalc(false)
 		if err != nil {
 			return nil, err
 		}
-		if afp != tb.Fingerprint() {
-			return nil, fmt.Errorf("recoverybench: rate %.2f: hardware still diverges after restart", rate)
+		if !aud.Clean() {
+			return nil, fmt.Errorf("recoverybench: rate %.2f: hardware still diverges from the shadow after restart", rate)
 		}
 		rows = append(rows, row)
 	}

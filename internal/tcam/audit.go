@@ -50,20 +50,8 @@ func appendDigests(out []RowDigest, entries []*Entry, arity int) []RowDigest {
 	return out
 }
 
-// AuditFingerprint digests the rows actually installed in hardware by
-// reading them back, in the same format as Fingerprint. For an untampered
-// table the two are equal; after silent corruption Fingerprint (which a
-// shadow copy can mirror) and AuditFingerprint diverge.
-func (t *Table) AuditFingerprint() (string, error) {
-	rows, err := t.ReadRows()
-	if err != nil {
-		return "", err
-	}
-	return DigestFingerprint(rows), nil
-}
-
-// DigestFingerprint renders read-back digests in Fingerprint format so
-// hardware read-backs and shadow fingerprints compare byte-for-byte.
+// DigestFingerprint renders read-back digests in Fingerprint format, so a
+// tenant slice fingerprints its band byte-identically to a private table.
 func DigestFingerprint(rows []RowDigest) string {
 	lines := make([]string, 0, len(rows))
 	var buf []byte
@@ -72,14 +60,6 @@ func DigestFingerprint(rows []RowDigest) string {
 		lines = append(lines, string(buf))
 	}
 	return joinSorted(lines)
-}
-
-// AuditRepair reconciles the physical contents toward the expected
-// population with minimal writes, all-or-nothing. It is the anti-entropy
-// write path: unlike ApplyDelta it tolerates ghost rows (entries the shadow
-// never installed) because it diffs against the true hardware state.
-func (t *Table) AuditRepair(expect []Row) (writes int, err error) {
-	return t.ApplyRowsAtomic(expect)
 }
 
 // findTamperTargetLocked locates the oldest physical entry with the given

@@ -52,21 +52,10 @@ func TestReadRowsSortedAndComplete(t *testing.T) {
 	}
 }
 
-func TestAuditFingerprintMatchesShadowWhenClean(t *testing.T) {
-	tb, _ := auditTable(t)
-	afp, err := tb.AuditFingerprint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if afp != tb.Fingerprint() {
-		t.Fatalf("clean table: AuditFingerprint != Fingerprint\naudit:\n%s\nshadow:\n%s", afp, tb.Fingerprint())
-	}
-}
-
 // TestTamperDataSilentButServed is the corruption model in one test: the
 // externally visible Version must not move (the controller shadow stays
-// blind), yet the data plane serves the corrupted payload, and only a
-// read-back audit sees the divergence.
+// blind), yet the data plane serves the corrupted payload, and the
+// read-back fingerprint sees the divergence.
 func TestTamperDataSilentButServed(t *testing.T) {
 	tb, rows := auditTable(t)
 	cleanFP := tb.Fingerprint()
@@ -87,12 +76,8 @@ func TestTamperDataSilentButServed(t *testing.T) {
 	if e.Data.(uint64) != 999 {
 		t.Errorf("data plane serves %v after tamper, want corrupted 999", e.Data)
 	}
-	afp, err := tb.AuditFingerprint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if afp == cleanFP {
-		t.Error("AuditFingerprint unchanged after tamper; read-back must see corruption")
+	if tb.Fingerprint() == cleanFP {
+		t.Error("Fingerprint unchanged after tamper; read-back must see corruption")
 	}
 }
 
@@ -144,10 +129,11 @@ func TestTamperInsertDeleteAndErrors(t *testing.T) {
 	}
 }
 
-// TestAuditRepairHealsAllFaultClasses corrupts, ghosts, and drops rows, then
-// repairs against the pre-tamper expectation and checks the hardware
-// fingerprint returns to the original with one write per divergent row.
-func TestAuditRepairHealsAllFaultClasses(t *testing.T) {
+// TestApplyRowsAtomicHealsAllFaultClasses corrupts, ghosts, and drops rows,
+// then repairs through ApplyRowsAtomic against the pre-tamper expectation
+// and checks the hardware fingerprint returns to the original with one
+// write per divergent row.
+func TestApplyRowsAtomicHealsAllFaultClasses(t *testing.T) {
 	tb, rows := auditTable(t)
 	cleanFP := tb.Fingerprint()
 
@@ -162,7 +148,7 @@ func TestAuditRepairHealsAllFaultClasses(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	writes, err := tb.AuditRepair(rows)
+	writes, err := tb.ApplyRowsAtomic(rows)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,15 +156,8 @@ func TestAuditRepairHealsAllFaultClasses(t *testing.T) {
 	if writes != 3 {
 		t.Errorf("repair writes = %d, want 3 (minimal delta)", writes)
 	}
-	afp, err := tb.AuditFingerprint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if afp != cleanFP {
-		t.Errorf("repair did not restore hardware:\n%s\nwant:\n%s", afp, cleanFP)
-	}
-	if afp != tb.Fingerprint() {
-		t.Error("post-repair shadow and hardware fingerprints diverge")
+	if got := tb.Fingerprint(); got != cleanFP {
+		t.Errorf("repair did not restore hardware:\n%s\nwant:\n%s", got, cleanFP)
 	}
 }
 

@@ -129,11 +129,12 @@ func TestLookupCacheApplyDeltaRollback(t *testing.T) {
 	}
 }
 
-// TestLookupCacheTamperAuditRepair covers the Version-invisible mutations:
+// TestLookupCacheTamperRepair covers the Version-invisible mutations:
 // silent tampering must be visible through the cache the instant it lands
-// (the snapshot generation moves even though Version does not), and an
-// AuditRepair must restore the pre-tamper results through the cache too.
-func TestLookupCacheTamperAuditRepair(t *testing.T) {
+// (the snapshot generation moves even though Version does not), and the
+// ApplyRowsAtomic repair must restore the pre-tamper results through the
+// cache too.
+func TestLookupCacheTamperRepair(t *testing.T) {
 	tab := MustNew("t", 0, 8)
 	expect := []Row{
 		row(0x00, 0xC0, 0, uint64(1)),
@@ -161,9 +162,9 @@ func TestLookupCacheTamperAuditRepair(t *testing.T) {
 	}
 	assertCachedParity(t, c, tab, batch)
 
-	writes, err := tab.AuditRepair(expect)
+	writes, err := tab.ApplyRowsAtomic(expect)
 	if err != nil || writes == 0 {
-		t.Fatalf("AuditRepair writes=%d err=%v, want repairs", writes, err)
+		t.Fatalf("repair writes=%d err=%v, want repairs", writes, err)
 	}
 	ords, pay = c.LookupIndexBatch(batch, nil)
 	if v, ok := pay.Value(ords[0]); !ok || v != 2 {

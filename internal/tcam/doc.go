@@ -35,9 +35,9 @@
 // # Generation — bulk commits only
 //
 // Table.Generation advances by one each time a bulk reconciliation commits
-// successfully: ApplyRowsAtomic, ApplyDelta, and the audit layer's
-// AuditRepair (which is a bulk reconcile). It never advances on a failed or
-// rolled-back commit, on single-row operations, or on silent tampering.
+// successfully: ApplyRowsAtomic (which is also the audit layer's repair)
+// and ApplyDelta. It never advances on a failed or rolled-back commit, on
+// single-row operations, or on silent tampering.
 // Invariant checks use it to assert a table is either fully old-generation
 // or fully new-generation ("a round is atomic"), and Generation() != since
 // asks whether anything committed since a caller last looked.

@@ -212,8 +212,8 @@ func TestKeyIndexTableDifferential(t *testing.T) {
 						_ = tb.TamperDelete(e.Fields, e.Priority)
 					}
 				case 10:
-					what = "AuditRepair"
-					_, _ = tb.AuditRepair(ops.rows(rng.Intn(20)))
+					what = "ApplyRowsAtomic repair"
+					_, _ = tb.ApplyRowsAtomic(ops.rows(rng.Intn(20)))
 				case 11:
 					what = "Clear"
 					if rng.Intn(4) == 0 {
@@ -291,8 +291,8 @@ func TestKeyIndexTieredDifferential(t *testing.T) {
 						_ = s.TamperDelete(e.Fields, e.Priority)
 					}
 				case 8:
-					what = "AuditRepair"
-					_, _ = s.AuditRepair(ops.rows(rng.Intn(20)))
+					what = "ApplyRowsAtomic repair"
+					_, _ = s.ApplyRowsAtomic(ops.rows(rng.Intn(20)))
 				case 9:
 					what = "ApplyDelta of deletes only"
 					_, deletes := ops.delta(all())

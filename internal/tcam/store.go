@@ -16,8 +16,10 @@ type Store interface {
 	// See Table.LookupIndexBatch for the ordinal/payload pairing contract.
 	LookupIndexBatch(flat []uint64, dst []int32) ([]int32, Payloads)
 
-	// ApplyRowsAtomic reconciles the store contents toward rows with
-	// minimal writes, all-or-nothing.
+	// ApplyRowsAtomic reconciles the store's physical contents toward rows
+	// with minimal writes, all-or-nothing. Because it diffs against what the
+	// hardware holds, it is also the anti-entropy repair: it rewrites
+	// corrupted payloads, deletes ghost rows and reinstalls dropped ones.
 	ApplyRowsAtomic(rows []Row) (writes int, err error)
 	// ApplyDelta applies an incremental reconciliation transactionally;
 	// a delete of a key that is not installed fails with ErrDeltaConflict.
@@ -34,21 +36,17 @@ type Store interface {
 	// Version increases on every mutation attempt per the package's
 	// generation/version contract (see the package doc).
 	Version() uint64
-	// Fingerprint digests the installed rows (match key + action data),
-	// independent of insertion order.
+	// Fingerprint digests the physically installed rows (match key +
+	// action data), independent of insertion order: it is the hardware
+	// read-back, so silent corruption changes it. No store keeps a shadow
+	// of its rows; the record of what the controller meant to install is
+	// core's commit shadow.
 	Fingerprint() string
 
 	// ReadRows reads back the physically installed rows, sorted by match
-	// key — the ground truth the audit layer diffs a shadow against. A
-	// tenant slice reads back only its own priority band.
+	// key — the ground truth the audit layer diffs the commit shadow
+	// against. A tenant slice reads back only its own priority band.
 	ReadRows() ([]RowDigest, error)
-	// AuditFingerprint digests the read-back rows in Fingerprint format;
-	// it diverges from Fingerprint after silent corruption.
-	AuditFingerprint() (string, error)
-	// AuditRepair reconciles the physical contents toward the expected
-	// population with minimal writes, all-or-nothing, tolerating ghost
-	// rows the shadow never installed.
-	AuditRepair(expect []Row) (writes int, err error)
 }
 
 // Tamperer is the fault-injection surface of a store: silent in-hardware

@@ -668,7 +668,9 @@ func (t *Table) Entries() []*Entry {
 // changed cost one action rewrite, and only genuinely new/stale rows cost an
 // insert/delete. This models a real switch driver, which diffs against its
 // shadow copy instead of re-flashing the table (and is what keeps the
-// paper's Table II write counts low).
+// paper's Table II write counts low). The diff runs against the physical
+// entries, so it is also the anti-entropy repair: silently corrupted
+// payloads are rewritten, ghost rows deleted and dropped rows reinstalled.
 //
 // The reconciliation is transactional: it is staged against a shadow
 // snapshot of the table, and on any row-write failure the table (entries,
@@ -971,7 +973,7 @@ func dataEqual(a, b any) bool {
 }
 
 // Row is the insert-time description of an entry, used by the bulk writes
-// (ApplyRowsAtomic, ApplyDelta) and the audit repair.
+// (ApplyRowsAtomic, ApplyDelta).
 type Row struct {
 	Fields   []Field
 	Priority int

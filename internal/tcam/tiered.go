@@ -286,8 +286,10 @@ func (s *TieredStore) placeLocked(rows []Row) (hotRows, coldRows []Row) {
 
 // ApplyRowsAtomic reconciles both tiers toward rows with minimal writes,
 // all-or-nothing: the TCAM tier commits transactionally first, and the SRAM
-// reconcile that follows cannot fail. Returns TCAM row writes; SRAM writes
-// accumulate for TakeSRAMWrites.
+// reconcile that follows cannot fail. It diffs against the physical rows of
+// both tiers, so it also repairs ghost, dropped and corrupted rows in
+// either. Returns TCAM row writes; SRAM writes accumulate for
+// TakeSRAMWrites.
 func (s *TieredStore) ApplyRowsAtomic(rows []Row) (writes int, err error) {
 	if err := s.validateRows(rows); err != nil {
 		return 0, err
@@ -468,22 +470,6 @@ func (s *TieredStore) ReadRows() ([]RowDigest, error) {
 	out = appendDigests(out, s.cold.rows, len(s.widths))
 	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
 	return out, nil
-}
-
-// AuditFingerprint digests the read-back rows of both tiers in Fingerprint
-// format.
-func (s *TieredStore) AuditFingerprint() (string, error) {
-	rows, err := s.ReadRows()
-	if err != nil {
-		return "", err
-	}
-	return DigestFingerprint(rows), nil
-}
-
-// AuditRepair reconciles both tiers toward the expected population with
-// minimal writes, all-or-nothing, tolerating ghost rows in either tier.
-func (s *TieredStore) AuditRepair(expect []Row) (writes int, err error) {
-	return s.ApplyRowsAtomic(expect)
 }
 
 // TamperData silently corrupts the action data of the installed row in

@@ -381,7 +381,7 @@ func TestTieredRebalance(t *testing.T) {
 }
 
 // TestTieredTamperAudit routes tampering through both tiers and checks the
-// audit surface sees and repairs it.
+// read-back fingerprint sees it and ApplyRowsAtomic repairs it.
 func TestTieredTamperAudit(t *testing.T) {
 	const width = 4
 	ts := mustTiered(t, 2, 0, width)
@@ -396,13 +396,7 @@ func TestTieredTamperAudit(t *testing.T) {
 	}
 	expect := make([]Row, len(rows))
 	copy(expect, rows)
-	want, err := ts.AuditFingerprint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want != ts.Fingerprint() {
-		t.Fatal("clean store: audit fingerprint diverges from Fingerprint")
-	}
+	want := ts.Fingerprint()
 
 	// Corrupt a cold-tier row (rows[2] or [3] spilled) and a hot-tier row.
 	if err := ts.TamperData(rows[3].Fields, rows[3].Priority, uint64(99)); err != nil {
@@ -418,12 +412,8 @@ func TestTieredTamperAudit(t *testing.T) {
 	if e, ok := lookupOne(ts, 0x0); !ok || e.Data.(uint64) != 98 {
 		t.Fatalf("hot tamper not served: %v", e)
 	}
-	got, err := ts.AuditFingerprint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got == want {
-		t.Fatal("audit fingerprint blind to tampering")
+	if ts.Fingerprint() == want {
+		t.Fatal("fingerprint blind to tampering")
 	}
 	// Ghost insert and silent delete, then repair everything in one pass.
 	if err := ts.TamperInsert([]Field{FieldFromPrefix(bitstr.MustNew(0x2, 3, width))}, 0, uint64(66)); err != nil {
@@ -432,14 +422,10 @@ func TestTieredTamperAudit(t *testing.T) {
 	if err := ts.TamperDelete(rows[1].Fields, rows[1].Priority); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ts.AuditRepair(expect); err != nil {
+	if _, err := ts.ApplyRowsAtomic(expect); err != nil {
 		t.Fatal(err)
 	}
-	got, err = ts.AuditFingerprint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
+	if ts.Fingerprint() != want {
 		t.Fatal("repair did not restore the expected population")
 	}
 	// Tampering an absent row reports ErrNotFound from either tier.

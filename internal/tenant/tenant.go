@@ -17,18 +17,25 @@
 //     so the physical table can never be driven past its capacity even while
 //     a victim still occupies the entries it has been asked to give back.
 //
+// The physical table is the only record of a slice's rows: a slice
+// validates each row, translates it into its band and forwards it, and
+// keeps nothing but a count of the rows its band holds. Reads (Fingerprint,
+// ReadRows) filter the physical entries by tenant ID and band, and the
+// physical key index resolves every delete and tells an insert from a data
+// rewrite. Core's commit shadow remains the record of what the controller
+// meant to install.
+//
 // A Slice implements tcam.Store, so the arithmetic engines and the control
 // plane run on it unchanged; relative to a private table of the same budget
-// the committed population, write counts, and fingerprints are identical
-// (the differential tests in this package and internal/core prove it).
-// The Arbiter (arbiter.go) moves quota between slices toward whichever
-// operation's marginal error is highest.
+// the committed population, write counts, and fingerprints are identical,
+// under silent hardware faults too (the differential tests in this package
+// and internal/core prove it). The Arbiter (arbiter.go) moves quota between
+// slices toward whichever operation's marginal error is highest.
 package tenant
 
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 
@@ -94,9 +101,13 @@ type Partition struct {
 	nextID uint64
 
 	// committing is the slice whose commit currently holds mu; the
-	// physical write hook dispatches per-row faults to it. All physical
-	// mutations go through slice commits, so it is only read under mu.
+	// physical write hook counts its row writes against its quota and
+	// dispatches per-row faults to it. All physical mutations go through
+	// slice commits, so it is only read under mu.
 	committing *Slice
+	// tally is the committing slice's band row count after the writes its
+	// commit has issued so far.
+	tally int
 	// hook is the partition-global write hook (chaos soaks attach here).
 	hook tcam.WriteHook
 }
@@ -138,14 +149,27 @@ func (p *Partition) SetWriteHook(h tcam.WriteHook) {
 }
 
 // dispatch runs with the physical table lock held, inside a slice commit
-// that holds p.mu.
+// that holds p.mu. It sees every physical write of the committing slice, so
+// it enforces the quota at the first insert past it, the way a private
+// table enforces its capacity; the physical table then rolls the commit
+// back.
 func (p *Partition) dispatch(op tcam.WriteOp) error {
+	s := p.committing
+	switch op {
+	case tcam.WriteInsert:
+		if p.tally >= s.quota {
+			return &tcam.CapacityError{Table: s.Name(), Capacity: s.quota, Installed: p.tally, Requested: 1}
+		}
+		p.tally++
+	case tcam.WriteDelete:
+		p.tally--
+	}
 	if p.hook != nil {
 		if err := p.hook(op); err != nil {
 			return err
 		}
 	}
-	if s := p.committing; s != nil && s.hook != nil {
+	if s.hook != nil {
 		return s.hook(op)
 	}
 	return nil
@@ -183,13 +207,12 @@ func (p *Partition) Open(name string, widths []int, quota int) (*Slice, error) {
 		return nil, fmt.Errorf("%w: quota %d, headroom %d", ErrQuota, quota, p.headroomLocked())
 	}
 	s := &Slice{
-		p:         p,
-		name:      name,
-		id:        id,
-		bandLo:    int(id) * p.cfg.BandSize,
-		widths:    append([]int(nil), widths...),
-		quota:     quota,
-		installed: make(map[string]sliceRow),
+		p:      p,
+		name:   name,
+		id:     id,
+		bandLo: int(id) * p.cfg.BandSize,
+		widths: append([]int(nil), widths...),
+		quota:  quota,
 	}
 	p.nextID = id
 	p.slices = append(p.slices, s)
@@ -197,13 +220,14 @@ func (p *Partition) Open(name string, widths []int, quota int) (*Slice, error) {
 	return s, nil
 }
 
-// Close evicts a tenant: every physical row the slice holds is deleted in
-// one transactional commit, the slice is marked closed (further commits fail
-// with ErrClosed; lookups simply miss), and its reservation leaves the
-// ledger, freeing headroom immediately. The delete goes through the same
-// write-hook seam as any commit, so injected row faults can make a Close
-// fail — in which case the slice stays open and installed, untouched.
-// Returns the physical row deletes performed.
+// Close evicts a tenant: every physical row the slice's band holds, ghosts
+// included, is deleted in key order in one transactional commit, the slice
+// is marked closed (further commits fail with ErrClosed; lookups simply
+// miss), and its reservation leaves the ledger, freeing headroom
+// immediately. The delete goes through the same write-hook seam as any
+// commit, so injected row faults can make a Close fail — in which case the
+// slice stays open and installed, untouched. Returns the physical row
+// deletes performed.
 func (p *Partition) Close(name string) (int, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -211,25 +235,10 @@ func (p *Partition) Close(name string) (int, error) {
 	if !ok {
 		return 0, fmt.Errorf("%w: %q", ErrTenant, name)
 	}
-	var keys []string
-	for k := range s.installed {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys) // deterministic physical delete sequence
-	physDel := make([]tcam.Row, 0, len(keys))
-	for _, k := range keys {
-		old := s.installed[k]
-		pr, err := s.physRow(old.fields, old.priority, nil)
-		if err != nil {
-			return 0, err
-		}
-		physDel = append(physDel, pr)
-	}
-	writes, err := s.commitLocked(nil, physDel)
+	writes, err := s.commitLocked(nil, s.staleLocked(nil))
 	if err != nil {
 		return 0, err
 	}
-	s.installed = make(map[string]sliceRow)
 	s.quota = 0
 	s.closed = true
 	delete(p.byName, name)
@@ -247,18 +256,17 @@ func (p *Partition) Close(name string) (int, error) {
 // the max means a slice asked to shrink keeps its old entries reserved until
 // it actually commits the smaller population — shrink-before-grow.
 func (p *Partition) headroomLocked() int {
-	free := p.cfg.TotalEntries
+	return max(p.cfg.TotalEntries-p.reservedLocked(), 0)
+}
+
+// reservedLocked is the ledger's total reservation Σ max(used, quota),
+// where used counts the rows a slice's band physically holds.
+func (p *Partition) reservedLocked() int {
+	r := 0
 	for _, s := range p.slices {
-		r := len(s.installed)
-		if s.quota > r {
-			r = s.quota
-		}
-		free -= r
+		r += max(s.rows, s.quota)
 	}
-	if free < 0 {
-		free = 0
-	}
-	return free
+	return r
 }
 
 // Headroom reports the free capacity available for quota grants.
@@ -310,23 +318,15 @@ func (p *Partition) Slice(name string) (*Slice, bool) {
 // Validate checks the partition invariants against the physical table:
 // occupancy within capacity, the ledger within capacity, every physical row
 // owned by exactly one slice (fully-specified tenant-ID field), priorities
-// inside the owner's band, and each slice's shadow map in exact agreement
-// with the physical rows. The differential tests call it every round.
+// inside the owner's band, and each slice's row count equal to the rows its
+// band physically holds. The differential tests call it every round.
 func (p *Partition) Validate() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if n := p.phys.Len(); n > p.cfg.TotalEntries {
 		return fmt.Errorf("tenant: physical table %q holds %d entries, capacity %d", p.cfg.Name, n, p.cfg.TotalEntries)
 	}
-	reserved := 0
-	for _, s := range p.slices {
-		r := len(s.installed)
-		if s.quota > r {
-			r = s.quota
-		}
-		reserved += r
-	}
-	if reserved > p.cfg.TotalEntries {
+	if reserved := p.reservedLocked(); reserved > p.cfg.TotalEntries {
 		return fmt.Errorf("tenant: ledger reserves %d entries, capacity %d", reserved, p.cfg.TotalEntries)
 	}
 	tidMask := uint64(1)<<p.cfg.TenantIDBits - 1
@@ -334,7 +334,7 @@ func (p *Partition) Validate() error {
 	for _, s := range p.slices {
 		byID[s.id] = s
 	}
-	seen := make(map[uint64]map[string]bool, len(p.slices))
+	held := make(map[*Slice]int, len(p.slices))
 	for _, e := range p.phys.Entries() {
 		tid := e.Fields[0]
 		if tid.Mask != tidMask {
@@ -348,33 +348,14 @@ func (p *Partition) Validate() error {
 			return fmt.Errorf("tenant: entry %d priority %d outside %q band [%d, %d)",
 				e.ID, e.Priority, s.name, s.bandLo, s.bandLo+p.cfg.BandSize)
 		}
-		local := tcam.RowKey(e.Fields[1:1+len(s.widths)], e.Priority-s.bandLo)
-		row, ok := s.installed[local]
-		if !ok {
-			return fmt.Errorf("tenant: entry %d not in %q's shadow map (key %s)", e.ID, s.name, local)
-		}
-		if fmt.Sprint(row.data) != fmt.Sprint(e.Data) {
-			return fmt.Errorf("tenant: entry %d data diverged from %q's shadow map", e.ID, s.name)
-		}
-		if seen[s.id] == nil {
-			seen[s.id] = make(map[string]bool)
-		}
-		seen[s.id][local] = true
+		held[s]++
 	}
 	for _, s := range p.slices {
-		if got := len(seen[s.id]); got != len(s.installed) {
-			return fmt.Errorf("tenant: %q holds %d physical rows, shadow map %d", s.name, got, len(s.installed))
+		if held[s] != s.rows {
+			return fmt.Errorf("tenant: %q band holds %d physical rows, slice counts %d", s.name, held[s], s.rows)
 		}
 	}
 	return nil
-}
-
-// sliceRow is a tenant-local installed row (fields and priority before
-// translation to the physical layout).
-type sliceRow struct {
-	fields   []tcam.Field
-	priority int
-	data     any
 }
 
 // Slice is one tenant's view of the shared table. It implements tcam.Store:
@@ -387,12 +368,14 @@ type Slice struct {
 	bandLo int
 	widths []int
 
-	// quota, installed, version, closed, and hook are guarded by p.mu.
-	quota     int
-	installed map[string]sliceRow
-	version   uint64
-	closed    bool
-	hook      tcam.WriteHook
+	// quota, rows, version, closed, and hook are guarded by p.mu.
+	quota int
+	// rows counts the physical rows in the slice's band, ghosts included:
+	// what a private table's Len reports.
+	rows    int
+	version uint64
+	closed  bool
+	hook    tcam.WriteHook
 }
 
 var _ tcam.Store = (*Slice)(nil)
@@ -419,11 +402,11 @@ func (s *Slice) Capacity() int {
 	return s.quota
 }
 
-// Len reports the installed tenant-local rows.
+// Len reports the rows the slice's band physically holds.
 func (s *Slice) Len() int {
 	s.p.mu.Lock()
 	defer s.p.mu.Unlock()
-	return len(s.installed)
+	return s.rows
 }
 
 // Version follows the tcam package's Version contract (see the tcam package
@@ -434,18 +417,13 @@ func (s *Slice) Version() uint64 {
 	return s.version
 }
 
-// Fingerprint digests the tenant-local rows in the same format as a private
-// table, so a slice and a standalone run of the same population fingerprint
-// equal.
+// Fingerprint digests the band's physical rows in the tenant-local layout,
+// in the same format as a private table, so a slice and a standalone run of
+// the same population fingerprint equal.
 func (s *Slice) Fingerprint() string {
 	s.p.mu.Lock()
 	defer s.p.mu.Unlock()
-	keys := make([]string, 0, len(s.installed))
-	for k, r := range s.installed {
-		keys = append(keys, k+"="+fmt.Sprint(r.data))
-	}
-	sort.Strings(keys)
-	return strings.Join(keys, "\n")
+	return tcam.DigestFingerprint(s.bandLocked())
 }
 
 // SetWriteHook installs a per-row hook consulted for this slice's physical
@@ -457,8 +435,8 @@ func (s *Slice) SetWriteHook(h tcam.WriteHook) {
 }
 
 // validateLocal mirrors the private-table field validation against the
-// tenant-local widths.
-func (s *Slice) validateLocal(fields []tcam.Field) error {
+// tenant-local widths and keeps the priority inside the band size.
+func (s *Slice) validateLocal(fields []tcam.Field, priority int) error {
 	if len(fields) != len(s.widths) {
 		return fmt.Errorf("tenant: %s: row has %d fields, slice has %d", s.Name(), len(fields), len(s.widths))
 	}
@@ -470,20 +448,33 @@ func (s *Slice) validateLocal(fields []tcam.Field) error {
 			}
 		}
 	}
+	if priority < 0 || priority >= s.p.cfg.BandSize {
+		return fmt.Errorf("tenant: %s: priority %d outside band size %d", s.Name(), priority, s.p.cfg.BandSize)
+	}
 	return nil
 }
 
-// physRow translates a tenant-local row to the physical layout: the
-// fully-specified tenant-ID field, the operand fields, wildcards for unused
-// physical fields, and the priority offset into the slice's band.
-func (s *Slice) physRow(fields []tcam.Field, priority int, data any) (tcam.Row, error) {
-	if priority < 0 || priority >= s.p.cfg.BandSize {
-		return tcam.Row{}, fmt.Errorf("tenant: %s: priority %d outside band size %d", s.Name(), priority, s.p.cfg.BandSize)
-	}
+// physRow translates a validated tenant-local row to the physical layout:
+// the fully-specified tenant-ID field, the operand fields, wildcards for
+// unused physical fields, and the priority offset into the slice's band.
+func (s *Slice) physRow(fields []tcam.Field, priority int, data any) tcam.Row {
 	pf := make([]tcam.Field, 1+len(s.p.cfg.OperandWidths))
 	pf[0] = tcam.Field{Value: s.id, Mask: uint64(1)<<s.p.cfg.TenantIDBits - 1}
 	copy(pf[1:], fields)
-	return tcam.Row{Fields: pf, Priority: s.bandLo + priority, Data: data}, nil
+	return tcam.Row{Fields: pf, Priority: s.bandLo + priority, Data: data}
+}
+
+// physRows validates tenant-local rows and translates them to the physical
+// layout.
+func (s *Slice) physRows(rows []tcam.Row) ([]tcam.Row, error) {
+	out := make([]tcam.Row, len(rows))
+	for i, r := range rows {
+		if err := s.validateLocal(r.Fields, r.Priority); err != nil {
+			return nil, err
+		}
+		out[i] = s.physRow(r.Fields, r.Priority, r.Data)
+	}
+	return out, nil
 }
 
 // physFlatPool recycles the translated key buffers LookupIndexBatch packs,
@@ -535,15 +526,18 @@ func (s *Slice) LookupSnapshot() (tcam.Payloads, uint64) {
 
 var _ tcam.Snapshotter = (*Slice)(nil)
 
-// ApplyRowsAtomic reconciles the slice toward rows, all-or-nothing, with the
-// same write accounting as a private table: unchanged rows cost nothing,
-// changed data one update, new rows one insert, stale rows one delete. Rows
-// must have distinct match keys (every population builder guarantees this).
+// ApplyRowsAtomic reconciles the slice's band toward rows, all-or-nothing,
+// with the same write accounting as a private table: unchanged rows cost
+// nothing, changed data one update, new rows one insert, and every other
+// row the band physically holds one delete. It diffs against the band's
+// physical contents, so it is also the anti-entropy repair: ghost rows are
+// deleted, dropped rows reinstalled, corrupted payloads rewritten, and the
+// write set never leaves the band. Rows must have distinct match keys
+// (every population builder guarantees this).
 func (s *Slice) ApplyRowsAtomic(rows []tcam.Row) (int, error) {
-	for _, r := range rows {
-		if err := s.validateLocal(r.Fields); err != nil {
-			return 0, err
-		}
+	physUp, err := s.physRows(rows)
+	if err != nil {
+		return 0, err
 	}
 	s.p.mu.Lock()
 	defer s.p.mu.Unlock()
@@ -551,120 +545,54 @@ func (s *Slice) ApplyRowsAtomic(rows []tcam.Row) (int, error) {
 		return 0, fmt.Errorf("%w: %s", ErrClosed, s.Name())
 	}
 	if len(rows) > s.quota {
-		return 0, &tcam.CapacityError{Table: s.Name(), Capacity: s.quota, Installed: len(s.installed), Requested: len(rows)}
+		return 0, &tcam.CapacityError{Table: s.Name(), Capacity: s.quota, Installed: s.rows, Requested: len(rows)}
 	}
-	next := make(map[string]sliceRow, len(rows))
-	physUp := make([]tcam.Row, 0, len(rows))
+	keep := make(map[string]bool, len(rows))
+	var buf []byte
 	for _, r := range rows {
-		k := tcam.RowKey(r.Fields, r.Priority)
-		if _, dup := next[k]; dup {
-			return 0, fmt.Errorf("tenant: %s: duplicate match key %s", s.Name(), k)
+		buf = rawKey(buf[:0], r.Fields, r.Priority)
+		if keep[string(buf)] {
+			return 0, fmt.Errorf("tenant: %s: duplicate match key %s", s.Name(), tcam.RowKey(r.Fields, r.Priority))
 		}
-		next[k] = sliceRow{fields: r.Fields, priority: r.Priority, data: r.Data}
-		pr, err := s.physRow(r.Fields, r.Priority, r.Data)
-		if err != nil {
-			return 0, err
-		}
-		physUp = append(physUp, pr)
+		keep[string(buf)] = true
 	}
-	// Stale rows, in sorted key order for a deterministic physical delete
-	// sequence.
-	var staleKeys []string
-	for k := range s.installed {
-		if _, keep := next[k]; !keep {
-			staleKeys = append(staleKeys, k)
-		}
-	}
-	sort.Strings(staleKeys)
-	physDel := make([]tcam.Row, 0, len(staleKeys))
-	for _, k := range staleKeys {
-		old := s.installed[k]
-		pr, err := s.physRow(old.fields, old.priority, nil)
-		if err != nil {
-			return 0, err
-		}
-		physDel = append(physDel, pr)
-	}
-	writes, err := s.commitLocked(physUp, physDel)
-	if err != nil {
-		return 0, err
-	}
-	s.installed = next
-	return writes, nil
+	return s.commitLocked(physUp, s.staleLocked(keep))
 }
 
 // ApplyDelta applies an incremental reconciliation transactionally, exactly
-// like tcam.Table.ApplyDelta scoped to this slice; a delete of a key that is
-// not installed fails with tcam.ErrDeltaConflict before touching the table.
+// like tcam.Table.ApplyDelta scoped to this slice: the physical key index
+// fails a delete of a key the band does not hold with tcam.ErrDeltaConflict
+// and tells an insert from a data rewrite, and the first insert past the
+// quota fails with a *tcam.CapacityError; either leaves the table untouched.
 func (s *Slice) ApplyDelta(upserts, deletes []tcam.Row) (int, error) {
-	for _, r := range upserts {
-		if err := s.validateLocal(r.Fields); err != nil {
-			return 0, err
-		}
+	physUp, err := s.physRows(upserts)
+	if err != nil {
+		return 0, err
 	}
-	for _, r := range deletes {
-		if err := s.validateLocal(r.Fields); err != nil {
-			return 0, err
-		}
+	physDel, err := s.physRows(deletes)
+	if err != nil {
+		return 0, err
 	}
 	s.p.mu.Lock()
 	defer s.p.mu.Unlock()
 	if s.closed {
 		return 0, fmt.Errorf("%w: %s", ErrClosed, s.Name())
 	}
-	removed := make(map[string]bool, len(deletes))
-	physDel := make([]tcam.Row, 0, len(deletes))
-	for _, r := range deletes {
-		k := tcam.RowKey(r.Fields, r.Priority)
-		old, ok := s.installed[k]
-		if !ok || removed[k] {
-			return 0, fmt.Errorf("%w: delete of %q not installed in slice %s", tcam.ErrDeltaConflict, k, s.Name())
-		}
-		removed[k] = true
-		pr, err := s.physRow(old.fields, old.priority, nil)
-		if err != nil {
-			return 0, err
-		}
-		physDel = append(physDel, pr)
-	}
-	n := len(s.installed) - len(physDel)
-	physUp := make([]tcam.Row, 0, len(upserts))
-	upKeys := make([]string, 0, len(upserts))
-	for _, r := range upserts {
-		k := tcam.RowKey(r.Fields, r.Priority)
-		if _, ok := s.installed[k]; !ok || removed[k] {
-			n++
-			if n > s.quota {
-				return 0, &tcam.CapacityError{Table: s.Name(), Capacity: s.quota, Installed: len(s.installed) - len(physDel), Requested: 1}
-			}
-		}
-		pr, err := s.physRow(r.Fields, r.Priority, r.Data)
-		if err != nil {
-			return 0, err
-		}
-		physUp = append(physUp, pr)
-		upKeys = append(upKeys, k)
-	}
-	writes, err := s.commitLocked(physUp, physDel)
-	if err != nil {
-		return 0, err
-	}
-	for k := range removed {
-		delete(s.installed, k)
-	}
-	for i, r := range upserts {
-		s.installed[upKeys[i]] = sliceRow{fields: r.Fields, priority: r.Priority, data: r.Data}
-	}
-	return writes, nil
+	return s.commitLocked(physUp, physDel)
 }
 
 // commitLocked forwards a translated delta to the physical table with the
-// slice marked as committing (for write-hook dispatch); p.mu must be held.
-// The slice version advances on every attempt, like a private table's.
+// slice marked as committing (for quota and write-hook dispatch) and, on
+// success, takes the band's row count from the commit's write tally; p.mu
+// must be held. The slice version advances on every attempt, like a
+// private table's.
 func (s *Slice) commitLocked(physUp, physDel []tcam.Row) (int, error) {
-	s.p.committing = s
+	s.p.committing, s.p.tally = s, s.rows
 	writes, err := s.p.phys.ApplyDelta(physUp, physDel)
 	s.p.committing = nil
+	if err == nil {
+		s.rows = s.p.tally
+	}
 	s.version++
 	return writes, err
 }
