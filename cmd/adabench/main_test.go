@@ -1,17 +1,15 @@
 package main
 
 import (
-	"errors"
-	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 )
 
 func TestRunnersRegistered(t *testing.T) {
-	want := []string{"cache", "fabric", "fig1a", "fig1b", "fig1c", "fig5",
-		"fig6", "fig7a", "fig7b", "fig7c", "fig8", "fig9", "fig10", "lookup",
-		"recovery", "round", "serve", "table2", "tenant", "tiered", "xcp"}
+	want := []string{"fabric", "fig1a", "fig1b", "fig1c", "fig5", "fig6",
+		"fig7a", "fig7b", "fig7c", "fig8", "fig9", "fig10", "recovery",
+		"round", "serve", "table2", "tenant", "tiered", "xcp"}
 	for _, name := range want {
 		if _, ok := runners[name]; !ok {
 			t.Errorf("experiment %q not registered", name)
@@ -42,22 +40,6 @@ func TestRunFastExperiments(t *testing.T) {
 func TestRunUnknownExperiment(t *testing.T) {
 	if err := run([]string{"nope"}); err == nil {
 		t.Error("unknown experiment: want error")
-	}
-}
-
-// TestRunReportsFloorMissAfterRest: a run that misses its wall-clock floor
-// does not stop the experiments after it, and run still fails.
-func TestRunReportsFloorMissAfterRest(t *testing.T) {
-	ran := false
-	runners["floor-miss"] = func() (string, any, error) { return "table", nil, fmt.Errorf("%w: test", errBelowFloor) }
-	runners["after"] = func() (string, any, error) { ran = true; return "table", nil, nil }
-	defer delete(runners, "floor-miss")
-	defer delete(runners, "after")
-	if err := run([]string{"floor-miss", "after"}); !errors.Is(err, errBelowFloor) {
-		t.Fatalf("run = %v, want a floor error", err)
-	}
-	if !ran {
-		t.Fatal("experiment after a floor miss did not run")
 	}
 }
 
@@ -93,34 +75,25 @@ func TestValidateFlags(t *testing.T) {
 }
 
 // TestRunWritesBenchJSON: with -out set, run writes BENCH_<name>.json for
-// every experiment that returns a result, floor misses included, and
-// nothing for the ones that do not.
+// every experiment that returns a result and nothing for the ones that do
+// not.
 func TestRunWritesBenchJSON(t *testing.T) {
 	dir := t.TempDir()
 	defer func(old string) { *outDir = old }(*outDir)
 	*outDir = dir
 	runners["with-result"] = func() (string, any, error) { return "table", []int{1, 2}, nil }
-	runners["floor-result"] = func() (string, any, error) {
-		return "table", map[string]int{"x": 3}, fmt.Errorf("%w: test", errBelowFloor)
-	}
 	runners["no-result"] = func() (string, any, error) { return "table", nil, nil }
 	defer delete(runners, "with-result")
-	defer delete(runners, "floor-result")
 	defer delete(runners, "no-result")
-	if err := run([]string{"with-result", "floor-result", "no-result"}); !errors.Is(err, errBelowFloor) {
-		t.Fatalf("run = %v, want a floor error", err)
+	if err := run([]string{"with-result", "no-result"}); err != nil {
+		t.Fatal(err)
 	}
-	for name, want := range map[string]string{
-		"with-result":  "[\n  1,\n  2\n]\n",
-		"floor-result": "{\n  \"x\": 3\n}\n",
-	} {
-		got, err := os.ReadFile(filepath.Join(dir, "BENCH_"+name+".json"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(got) != want {
-			t.Errorf("BENCH_%s.json = %q, want %q", name, got, want)
-		}
+	got, err := os.ReadFile(filepath.Join(dir, "BENCH_with-result.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "[\n  1,\n  2\n]\n"; string(got) != want {
+		t.Errorf("BENCH_with-result.json = %q, want %q", got, want)
 	}
 	if _, err := os.Stat(filepath.Join(dir, "BENCH_no-result.json")); !os.IsNotExist(err) {
 		t.Errorf("a result-less experiment wrote JSON (stat: %v)", err)

@@ -21,7 +21,8 @@
 // through the zero-allocation fan-out, and -fabric-workers concurrent control
 // rounds run per fabric round. With -fabric-migrate M > 0 the fabric arbiter
 // may migrate tenants toward spare capacity every M rounds; -faults wraps
-// every switch driver in its own deterministically re-seeded injector.
+// every tenant controller's switch driver in its own injector, seeded from
+// the switch and the order of the mounts on it.
 //
 // Usage:
 //
@@ -332,8 +333,11 @@ func runFaulty(stdout io.Writer, op arith.UnaryOp, width, monitorN, calcN, round
 // tenants, replayed through the zero-allocation sharded fan-out, and synced
 // with concurrent per-switch control rounds. With migrateEvery > 0 the
 // fabric arbiter may move tenants toward spare capacity; with a fault spec
-// every switch driver runs behind its own deterministically re-seeded
-// injector (disarmed while the fleet mounts, so faults hit steady state).
+// every tenant controller's driver runs behind its own injector, seeded from
+// its switch and mount order, so concurrent tenant rounds on a switch draw
+// from separate generators and a run is reproducible. Injectors made while
+// the fleet mounts start disarmed and are armed once it is placed, so faults
+// hit steady state; mounts made by later migrations start armed.
 func runFabric(stdout io.Writer, op arith.UnaryOp, width, monitorN, calcN, rounds int,
 	thBalance float64, spec string, switches, tenants, workers, migrateEvery int, trace []uint64) error {
 	fcfg := fabric.Config{
@@ -345,24 +349,24 @@ func runFabric(stdout io.Writer, op arith.UnaryOp, width, monitorN, calcN, round
 		fcfg.Migration = fabric.MigrationConfig{Every: migrateEvery}
 	}
 	var injectors []*faults.Injector
+	armed := false
 	if spec != "" {
 		prof, err := faults.ParseProfile(spec)
 		if err != nil {
 			return usagef("bad -faults spec: %v", err)
 		}
-		injectors = make([]*faults.Injector, switches)
-		for i := range injectors {
-			p := prof
-			p.Seed = prof.Seed + int64(i)*101
-			inj, err := faults.New(p)
-			if err != nil {
-				return err
-			}
-			inj.SetArmed(false)
-			injectors[i] = inj
-		}
+		// ParseProfile validated prof, so MustNew cannot fail. Mounts run
+		// one at a time (provisioning, then migrations after the switch
+		// rounds), so the per-switch mount count is deterministic.
+		mounts := make([]int64, switches)
 		fcfg.WrapDriver = func(sw int, d controlplane.Driver) controlplane.Driver {
-			return injectors[sw].Wrap(d)
+			p := prof
+			p.Seed = prof.Seed + int64(sw)*101 + mounts[sw]*7919
+			mounts[sw]++
+			inj := faults.MustNew(p)
+			inj.SetArmed(armed)
+			injectors = append(injectors, inj)
+			return inj.Wrap(d)
 		}
 	}
 	f, err := fabric.New(fcfg)
@@ -397,6 +401,7 @@ func runFabric(stdout io.Writer, op arith.UnaryOp, width, monitorN, calcN, round
 	for _, inj := range injectors {
 		inj.SetArmed(true)
 	}
+	armed = true
 
 	faultNote := ""
 	if spec != "" {

@@ -222,6 +222,28 @@ func TestRunFabricWithFaults(t *testing.T) {
 	}
 }
 
+// TestRunFabricFaultsDeterministic: a switch runs its tenants' rounds
+// concurrently, so each tenant controller's driver has its own injector,
+// and the same faulted fabric replay prints the same output every time.
+func TestRunFabricFaultsDeterministic(t *testing.T) {
+	args := []string{
+		"-op", "sqrt", "-width", "12", "-monitor", "8", "-calc", "96", "-rounds", "8",
+		"-fabric", "2", "-fabric-tenants", "8", "-faults", "seed=7,write=0.3", "-values", fabricTrace(),
+	}
+	var first string
+	for i := 0; i < 5; i++ {
+		var out strings.Builder
+		if err := run(args, strings.NewReader(""), &out); err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			first = out.String()
+		} else if out.String() != first {
+			t.Fatalf("replay %d printed:\n%s\nreplay 0 printed:\n%s", i, out.String(), first)
+		}
+	}
+}
+
 func TestRunWithAudit(t *testing.T) {
 	var out strings.Builder
 	err := run([]string{

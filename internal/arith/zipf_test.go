@@ -1,10 +1,10 @@
-package experiments
+package arith
 
 import "math"
 
-// zipfSource is the bounded Zipf operand generator the benchmarks share.
-// The standard library's rand.Zipf requires s > 1, but the cache sweep needs
-// the whole 0.6–1.4 skew range, so ranks are drawn by inverting the
+// zipfSource is the bounded Zipf operand generator of the cached-eval
+// benchmarks. The standard library's rand.Zipf requires s > 1, but the
+// benchmarks span skews 0.6–1.4, so ranks are drawn by inverting the
 // continuous bounded power-law CDF instead: for u uniform in (0, 1],
 //
 //	k = ((N^(1-s) − 1)·u + 1)^(1/(1-s))   (s ≠ 1)

@@ -71,8 +71,8 @@ func TestChaosFig8SurvivesOutages(t *testing.T) {
 // TestChaosFig8SilentFaultsHealViaAudits is the silent-fault soak: dropped
 // acks on the wire plus periodic payload corruption and ghost rows in the
 // joint table. The read-back audits must actually fire, catch divergence,
-// and — once injection stops — reconcile the physical table with the
-// controller shadow within one audit period.
+// repair it, and — once injection stops — reconcile the physical table with
+// the controller shadow within one audit period.
 func TestChaosFig8SilentFaultsHealViaAudits(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -95,6 +95,11 @@ func TestChaosFig8SilentFaultsHealViaAudits(t *testing.T) {
 	}
 	if rep.AuditMismatches == 0 {
 		t.Error("audits saw no mismatches despite tampering")
+	}
+	// rateMulTarget reloads the whole joint table every round, which heals
+	// tampering by itself; only repair writes show the audits did it.
+	if rep.RepairWrites == 0 {
+		t.Error("audits issued no repair writes")
 	}
 	if !rep.HealedAfterQuiesce {
 		t.Error("joint table still diverges from the shadow after quiesce")

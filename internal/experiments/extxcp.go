@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-
 	"github.com/ada-repro/ada/internal/apps"
 	"github.com/ada-repro/ada/internal/netsim"
 	"github.com/ada-repro/ada/internal/stats"
@@ -106,5 +104,3 @@ func RenderExtXCP(rows []ExtXCPRow) string {
 	}
 	return t.String()
 }
-
-var _ = fmt.Sprintf // reserved for future per-row annotations

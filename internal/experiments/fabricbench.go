@@ -17,7 +17,7 @@ import (
 	"github.com/ada-repro/ada/internal/tenant"
 )
 
-// FabricBenchConfig parameterises the sharded multi-switch benchmark:
+// FabricBenchConfig parameterises the sharded multi-switch experiment:
 // dozens of skewed, drifting tenants consistent-hashed across a fabric of
 // switches, ingested through the sharded replay fan-out, with per-switch
 // control rounds on the fabric's bounded worker pool. The same streams run
@@ -42,7 +42,7 @@ type FabricBenchConfig struct {
 	// the error estimate.
 	EvalSamples int
 	// Workers is the fabric's control worker pool and the replay worker
-	// count of the throughput measurement.
+	// count.
 	Workers int
 	// BatchSize is the sharded-replay flush threshold.
 	BatchSize int
@@ -55,9 +55,6 @@ type FabricBenchConfig struct {
 	// FaultySwitches is how many switches (lowest indices) run behind an
 	// injected outage+latency driver profile, in both modes.
 	FaultySwitches int
-	// ThroughputSamples sizes the post-run stream used for the throughput
-	// measurement.
-	ThroughputSamples int
 	// Seed seeds every stream; both modes replay identical operands.
 	Seed int64
 }
@@ -66,30 +63,30 @@ type FabricBenchConfig struct {
 // 64 switches × 24 tenants, 8 control/replay workers, 8 faulty switches.
 func DefaultFabricBenchConfig() FabricBenchConfig {
 	return FabricBenchConfig{
-		Switches:          64,
-		SwitchEntries:     128,
-		Tenants:           24,
-		Rounds:            24,
-		Warmup:            8,
-		SamplesPerRound:   300,
-		EvalSamples:       400,
-		Workers:           8,
-		BatchSize:         256,
-		RoundDeadline:     25 * time.Millisecond,
-		MigrateEvery:      2,
-		ArbiterEvery:      2,
-		FaultySwitches:    8,
-		ThroughputSamples: 200000,
-		Seed:              1,
+		Switches:        64,
+		SwitchEntries:   128,
+		Tenants:         24,
+		Rounds:          24,
+		Warmup:          8,
+		SamplesPerRound: 300,
+		EvalSamples:     400,
+		Workers:         8,
+		BatchSize:       256,
+		RoundDeadline:   25 * time.Millisecond,
+		MigrateEvery:    2,
+		ArbiterEvery:    2,
+		FaultySwitches:  8,
+		Seed:            1,
 	}
 }
 
-// FabricLatency summarises per-switch modelled round delays across a mode's
-// run (occupied switches × rounds).
+// FabricLatency summarises per-switch round delays across a mode's run
+// (occupied switches × rounds). The delays are CostModel figures, not
+// clock readings.
 type FabricLatency struct {
-	P50Micros        float64 `json:"p50_micros"`
-	P99Micros        float64 `json:"p99_micros"`
-	MaxMicros        float64 `json:"max_micros"`
+	P50Micros        float64 `json:"modelled_p50_micros"`
+	P99Micros        float64 `json:"modelled_p99_micros"`
+	MaxMicros        float64 `json:"modelled_max_micros"`
 	DeadlineExceeded int     `json:"deadline_exceeded_rounds"`
 	DegradedTenants  int     `json:"degraded_tenant_rounds"`
 }
@@ -115,13 +112,9 @@ type FabricBenchResult struct {
 	// Improvement is StaticAggregate / ElasticAggregate (>1 = elastic wins).
 	Improvement float64 `json:"improvement"`
 
-	// Round latency under the injected per-switch faults.
+	// Modelled round latency under the injected per-switch faults.
 	StaticLatency  FabricLatency `json:"static_round_latency"`
 	ElasticLatency FabricLatency `json:"elastic_round_latency"`
-
-	// MeasuredLookupsPerSec is the wall-clock rate of a concurrent sharded
-	// replay with Workers workers on the host that ran the benchmark.
-	MeasuredLookupsPerSec float64 `json:"measured_lookups_per_sec"`
 }
 
 // fabricWorkload is one tenant's op and drifting operand distribution.
@@ -213,9 +206,8 @@ func occupiedCount(f *fabric.Fabric) int {
 	return len(seen)
 }
 
-// runFabricBenchMode runs one full deployment and returns the aggregate
-// error, latency summary, migration count, and the final fabric (for the
-// throughput model).
+// runFabricBenchMode runs one full deployment and returns the final fabric,
+// the aggregate error, latency summary and migration count.
 func runFabricBenchMode(cfg FabricBenchConfig, elastic bool) (*fabric.Fabric, float64, FabricLatency, int, error) {
 	f, injectors, err := fabricBenchFabric(cfg, elastic)
 	if err != nil {
@@ -335,29 +327,8 @@ func runFabricBenchMode(cfg FabricBenchConfig, elastic bool) (*fabric.Fabric, fl
 	return f, agg, lat, migrations, nil
 }
 
-// fabricThroughput measures the wall-clock aggregate replay rate of the
-// final elastic fabric: a fresh stream, sharded by home switch, replayed by
-// cfg.Workers workers.
-func fabricThroughput(cfg FabricBenchConfig, f *fabric.Fabric, workloads []fabricWorkload) float64 {
-	rng := rand.New(rand.NewSource(cfg.Seed + 999331))
-	stream := make([]uint64, 0, cfg.ThroughputSamples)
-	for len(stream) < cfg.ThroughputSamples {
-		ti := rng.Intn(len(workloads))
-		stream = append(stream, fabric.Pack(ti, workloads[ti].sample(rng, 1.0)))
-	}
-	snap := f.RouteSnapshot(nil)
-	sr := netsim.NewShardedReplay(f.NumSwitches(), cfg.BatchSize)
-	scratch := make([]fabric.IngestScratch, cfg.Workers)
-	route := func(p uint64) int { return snap[p>>32] }
-	start := time.Now()
-	sr.Replay(cfg.Workers, stream, route, func(w, shard int, batch []uint64) {
-		f.ObserveEvalPacked(batch, &scratch[w], nil)
-	})
-	return float64(len(stream)) / time.Since(start).Seconds()
-}
-
 // RunFabricBench runs the static and elastic fabrics over identical streams
-// and assembles the comparison plus the measured replay throughput.
+// and assembles the comparison.
 func RunFabricBench(cfg FabricBenchConfig) (*FabricBenchResult, error) {
 	fStatic, staticAgg, staticLat, _, err := runFabricBenchMode(cfg, false)
 	if err != nil {
@@ -386,7 +357,6 @@ func RunFabricBench(cfg FabricBenchConfig) (*FabricBenchResult, error) {
 	if res.ElasticAggregate > 0 {
 		res.Improvement = res.StaticAggregate / res.ElasticAggregate
 	}
-	res.MeasuredLookupsPerSec = fabricThroughput(cfg, fElastic, fabricWorkloads(cfg.Tenants))
 	return res, nil
 }
 
@@ -395,7 +365,7 @@ func RenderFabricBench(res *FabricBenchResult) string {
 	t := stats.NewTable(
 		fmt.Sprintf("Sharded fabric: elastic rebalancing vs static placement (%d switches x %d tenants, %d faulty)",
 			res.Switches, res.Tenants, res.FaultySwitches),
-		"mode", "aggregate err", "occupied", "p50 round", "p99 round", "deadline miss", "degraded")
+		"mode", "aggregate err", "occupied", "modelled p50 round", "modelled p99 round", "deadline miss", "degraded")
 	t.AddF("static", fmt.Sprintf("%.4f", res.StaticAggregate), res.OccupiedStatic,
 		fmt.Sprintf("%.0fus", res.StaticLatency.P50Micros), fmt.Sprintf("%.0fus", res.StaticLatency.P99Micros),
 		res.StaticLatency.DeadlineExceeded, res.StaticLatency.DegradedTenants)
@@ -405,7 +375,5 @@ func RenderFabricBench(res *FabricBenchResult) string {
 	out := t.String()
 	out += fmt.Sprintf("\nmigrations: %d, improvement: %.2fx better aggregate error\n",
 		res.Migrations, res.Improvement)
-	out += fmt.Sprintf("measured replay throughput (%d workers, this host): %.0f lookups/s\n",
-		res.Workers, res.MeasuredLookupsPerSec)
 	return out
 }

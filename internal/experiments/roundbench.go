@@ -2,24 +2,25 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"github.com/ada-repro/ada/internal/arith"
 	"github.com/ada-repro/ada/internal/core"
 	"github.com/ada-repro/ada/internal/stats"
 )
 
-// RoundBenchConfig parameterises the control-round microbenchmark: the
+// RoundBenchConfig parameterises the control-round experiment: the
 // incremental round (Algorithm 3 skipped while the trie and budget hold,
 // otherwise rebuilt and committed as a delta) against full repopulation,
-// swept across churn levels.
+// swept across churn levels. It compares what each round writes and
+// computes and its modelled delay; core's BenchmarkRoundFloor times the
+// converged round.
 type RoundBenchConfig struct {
 	// ChurnLevels are the fractions of monitoring bins whose hit counts
 	// change every round (0 = fully converged, 1 = every leaf dirty).
 	ChurnLevels []float64
-	// Rounds is the timed rounds per (churn, mode) measurement.
+	// Rounds is the measured rounds per (churn, mode) run.
 	Rounds int
-	// Warmup is the untimed rounds run first so both systems reach the
+	// Warmup is the unmeasured rounds run first so both systems reach the
 	// steady structure the churn schedule assumes.
 	Warmup int
 	// MonitorEntries is the monitoring bin count, held fixed (no expansion);
@@ -53,22 +54,19 @@ func DefaultRoundBenchConfig() RoundBenchConfig {
 	}
 }
 
-// RoundBenchRow is one churn level's incremental-vs-full measurements.
-// *_ns are wall-clock nanoseconds per control round; writes/computed/reused
-// are per-round averages; delay_*_ns is the modelled CostModel delay.
+// RoundBenchRow is one churn level's incremental-vs-full comparison.
+// writes/computed/reused are per-round averages; *_modelled_delay_ns is the
+// CostModel delay per round, not a clock reading.
 type RoundBenchRow struct {
 	Churn        float64 `json:"churn"`
 	Budget       int     `json:"budget"`
-	IncNs        float64 `json:"incremental_ns"`
-	FullNs       float64 `json:"full_ns"`
-	Speedup      float64 `json:"speedup"`
 	IncWrites    float64 `json:"incremental_tcam_writes"`
 	FullWrites   float64 `json:"full_tcam_writes"`
 	IncComputed  float64 `json:"incremental_computed"`
 	FullComputed float64 `json:"full_computed"`
 	IncReused    float64 `json:"incremental_reused"`
-	IncDelayNs   float64 `json:"incremental_delay_ns"`
-	FullDelayNs  float64 `json:"full_delay_ns"`
+	IncDelayNs   float64 `json:"incremental_modelled_delay_ns"`
+	FullDelayNs  float64 `json:"full_modelled_delay_ns"`
 }
 
 // roundBenchSystem builds one unary system for the bench; incremental
@@ -104,42 +102,38 @@ func roundBenchFeed(sys *core.UnarySystem, base, nChurn, round int, buf []uint64
 	return buf
 }
 
-// runRoundBenchMode measures one system across warmup+timed rounds and
-// returns per-round averages (wall ns, tcam writes, computed, reused,
-// modelled delay ns). The feed is built outside the timed region; only
-// Controller.Round — snapshot, Algorithm 2/3, table pushes — is timed.
-func runRoundBenchMode(sys *core.UnarySystem, cfg RoundBenchConfig, churn float64) (wall, writes, computed, reused, delay float64, err error) {
+// runRoundBenchMode runs one system across warmup+measured rounds and
+// returns per-round averages (tcam writes, computed, reused, modelled delay
+// ns).
+func runRoundBenchMode(sys *core.UnarySystem, cfg RoundBenchConfig, churn float64) (writes, computed, reused, delay float64, err error) {
 	nChurn := int(churn*float64(cfg.MonitorEntries) + 0.5)
 	var buf []uint64
 	for round := 0; round < cfg.Warmup+cfg.Rounds; round++ {
 		buf = roundBenchFeed(sys, cfg.BaseCount, nChurn, round, buf)
 		sys.ObserveAll(buf)
-		start := time.Now()
 		rep, rerr := sys.Controller().Round()
-		elapsed := time.Since(start)
 		if rerr != nil {
-			return 0, 0, 0, 0, 0, rerr
+			return 0, 0, 0, 0, rerr
 		}
 		if rep.Degraded {
-			return 0, 0, 0, 0, 0, fmt.Errorf("roundbench: degraded round (%s) with no faults injected", rep.DegradedReason)
+			return 0, 0, 0, 0, fmt.Errorf("roundbench: degraded round (%s) with no faults injected", rep.DegradedReason)
 		}
 		if round < cfg.Warmup {
 			continue
 		}
-		wall += float64(elapsed.Nanoseconds())
 		writes += float64(rep.TCAMWrites)
 		computed += float64(rep.Computed)
 		reused += float64(rep.Reused)
 		delay += float64(rep.Delay.Nanoseconds())
 	}
 	n := float64(cfg.Rounds)
-	return wall / n, writes / n, computed / n, reused / n, delay / n, nil
+	return writes / n, computed / n, reused / n, delay / n, nil
 }
 
-// RunRoundBench measures incremental vs full control rounds at each churn
+// RunRoundBench compares incremental and full control rounds at each churn
 // level. Both systems see identical feeds, and their calculation tables are
-// asserted bit-identical after each measurement — the benchmark doubles as
-// an end-to-end equivalence check.
+// asserted bit-identical after each run — the experiment doubles as an
+// end-to-end equivalence check.
 func RunRoundBench(cfg RoundBenchConfig) ([]RoundBenchRow, error) {
 	rows := make([]RoundBenchRow, 0, len(cfg.ChurnLevels))
 	for _, churn := range cfg.ChurnLevels {
@@ -151,11 +145,11 @@ func RunRoundBench(cfg RoundBenchConfig) ([]RoundBenchRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		iw, iwr, ic, ir, id, err := runRoundBenchMode(inc, cfg, churn)
+		iwr, ic, ir, id, err := runRoundBenchMode(inc, cfg, churn)
 		if err != nil {
 			return nil, err
 		}
-		fw, fwr, fc, _, fd, err := runRoundBenchMode(full, cfg, churn)
+		fwr, fc, _, fd, err := runRoundBenchMode(full, cfg, churn)
 		if err != nil {
 			return nil, err
 		}
@@ -165,9 +159,6 @@ func RunRoundBench(cfg RoundBenchConfig) ([]RoundBenchRow, error) {
 		rows = append(rows, RoundBenchRow{
 			Churn:        churn,
 			Budget:       cfg.CalcBudget,
-			IncNs:        iw,
-			FullNs:       fw,
-			Speedup:      fw / iw,
 			IncWrites:    iwr,
 			FullWrites:   fwr,
 			IncComputed:  ic,
@@ -183,12 +174,10 @@ func RunRoundBench(cfg RoundBenchConfig) ([]RoundBenchRow, error) {
 // RenderRoundBench formats the rows.
 func RenderRoundBench(rows []RoundBenchRow) string {
 	t := stats.NewTable("Control-round microbenchmark: incremental vs full repopulation (per round)",
-		"churn", "budget", "inc ns", "full ns", "speedup", "inc writes", "full writes",
+		"churn", "budget", "inc writes", "full writes",
 		"inc computed", "full computed", "inc reused")
 	for _, r := range rows {
 		t.AddF(fmt.Sprintf("%.0f%%", 100*r.Churn), r.Budget,
-			fmt.Sprintf("%.0f", r.IncNs), fmt.Sprintf("%.0f", r.FullNs),
-			fmt.Sprintf("%.1fx", r.Speedup),
 			fmt.Sprintf("%.1f", r.IncWrites), fmt.Sprintf("%.1f", r.FullWrites),
 			fmt.Sprintf("%.1f", r.IncComputed), fmt.Sprintf("%.1f", r.FullComputed),
 			fmt.Sprintf("%.1f", r.IncReused))

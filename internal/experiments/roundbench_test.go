@@ -19,9 +19,8 @@ func shortRoundBenchConfig() RoundBenchConfig {
 // incremental round must recompute and write nothing, no churn level may
 // recompute more than full repopulation, and every churn level above 0
 // must rewrite the table, with incremental and full rounds writing the same
-// rows. The wall-clock floor (≥5× over full repopulation at the 1024-entry
-// budget) is enforced by `adabench round` (make bench-round), which exits
-// non-zero below it.
+// rows. The speed floor (≥5× over full repopulation at the 1024-entry
+// budget) is core's BenchmarkRoundFloor (make bench-round).
 func TestRoundBenchAcceptance(t *testing.T) {
 	cfg := DefaultRoundBenchConfig()
 	if testing.Short() {
@@ -51,36 +50,3 @@ func TestRoundBenchAcceptance(t *testing.T) {
 		}
 	}
 }
-
-// BenchmarkRoundIncremental and BenchmarkRoundFull expose the converged
-// control round to `go test -bench` (the make bench-round target).
-func benchmarkRound(b *testing.B, incremental bool) {
-	cfg := DefaultRoundBenchConfig()
-	cfg.CalcBudget = 256
-	sys, err := roundBenchSystem(cfg, incremental)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var buf []uint64
-	for i := 0; i < cfg.Warmup; i++ {
-		buf = roundBenchFeed(sys, cfg.BaseCount, 0, i, buf)
-		sys.ObserveAll(buf)
-		if _, err := sys.Controller().Round(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		buf = roundBenchFeed(sys, cfg.BaseCount, 0, i, buf)
-		sys.ObserveAll(buf)
-		b.StartTimer()
-		if _, err := sys.Controller().Round(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkRoundIncremental(b *testing.B) { benchmarkRound(b, true) }
-
-func BenchmarkRoundFull(b *testing.B) { benchmarkRound(b, false) }

@@ -1,6 +1,8 @@
 package tcam
 
 import (
+	"fmt"
+	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -47,67 +49,101 @@ func scanLookup(tb *Table, keys ...uint64) (*Entry, bool) {
 	return nil, false
 }
 
-// benchmarkLookup measures a single key resolved as a batch of one, the
-// shape of UnaryEngine.Eval and Monitor.Observe.
-func benchmarkLookup(b *testing.B, entries int) {
-	tb := benchTable(b, entries)
-	keys := benchKeys(1024)
-	dst, _ := tb.LookupIndexBatch(keys[:1], nil) // compile the index outside the timed region
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		k := i % len(keys)
-		dst, _ = tb.LookupIndexBatch(keys[k:k+1], dst)
+// benchCoverTable installs a full prefix cover of a 16-bit key with
+// `entries` equal leaves (a power of two), so every key hits and the index
+// compiles to the dense 16-bit LUT.
+func benchCoverTable(b *testing.B, entries int) *Table {
+	b.Helper()
+	const width = 16
+	depth := bits.TrailingZeros(uint(entries))
+	mask := lowMask(width) &^ (lowMask(width) >> depth)
+	rows := make([]Row, entries)
+	for i := range rows {
+		rows[i] = Row{Fields: []Field{{Value: uint64(i) << (width - depth), Mask: mask}}, Data: uint64(i)}
+	}
+	tb := MustNew("bench-cover", 0, width)
+	if _, err := tb.ApplyRowsAtomic(rows); err != nil {
+		b.Fatal(err)
+	}
+	return tb
+}
+
+// runLookupCells runs fn as one sub-benchmark per table shape and size
+// (128, 1024 and 8192 entries). prefix32 holds random 8–32-bit prefixes of
+// a 32-bit key, which nest and compile to the trie; cover16 is a full
+// prefix cover of a 16-bit key, which compiles to the 16-bit LUT.
+func runLookupCells(b *testing.B, fn func(b *testing.B, tb *Table, keys []uint64)) {
+	cells := []struct {
+		name  string
+		table func(*testing.B, int) *Table
+		keys  []uint64
+	}{
+		{"prefix32", benchTable, benchKeys(1024)},
+		{"cover16", benchCoverTable, benchWidthKeys(1024, 16)},
+	}
+	for _, c := range cells {
+		for _, n := range []int{128, 1024, 8192} {
+			b.Run(fmt.Sprintf("%s/%d", c.name, n), func(b *testing.B) {
+				fn(b, c.table(b, n), c.keys)
+			})
+		}
 	}
 }
 
-func benchmarkLookupScan(b *testing.B, entries int) {
-	tb := benchTable(b, entries)
-	keys := benchKeys(1024)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		scanLookup(tb, keys[i%len(keys)])
-	}
-}
-
-func BenchmarkLookup128(b *testing.B)  { benchmarkLookup(b, 128) }
-func BenchmarkLookup1024(b *testing.B) { benchmarkLookup(b, 1024) }
-func BenchmarkLookup8192(b *testing.B) { benchmarkLookup(b, 8192) }
-
-func BenchmarkLookupScan128(b *testing.B)  { benchmarkLookupScan(b, 128) }
-func BenchmarkLookupScan1024(b *testing.B) { benchmarkLookupScan(b, 1024) }
-func BenchmarkLookupScan8192(b *testing.B) { benchmarkLookupScan(b, 8192) }
-
-// BenchmarkLookupParallel measures concurrent read scaling: the indexed
-// path resolves against a shared immutable snapshot, so throughput should
-// grow near-linearly with GOMAXPROCS (use -cpu 1,2,4 to see the curve).
-func BenchmarkLookupParallel1024(b *testing.B) {
-	tb := benchTable(b, 1024)
-	keys := benchKeys(1024)
-	tb.LookupIndexBatch(keys[:1], nil)
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		var dst []int32
-		i := 0
-		for pb.Next() {
+// BenchmarkLookup resolves a single key as a batch of one, the shape of
+// UnaryEngine.Eval and Monitor.Observe.
+func BenchmarkLookup(b *testing.B) {
+	runLookupCells(b, func(b *testing.B, tb *Table, keys []uint64) {
+		dst, _ := tb.LookupIndexBatch(keys[:1], nil) // compile the index outside the timed region
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
 			k := i % len(keys)
 			dst, _ = tb.LookupIndexBatch(keys[k:k+1], dst)
-			i++
 		}
 	})
 }
 
-// BenchmarkLookupBatch1024 resolves the whole 1024-key batch per op against
+// BenchmarkLookupScan is the reference linear scan the indexed benchmarks
+// are read against.
+func BenchmarkLookupScan(b *testing.B) {
+	runLookupCells(b, func(b *testing.B, tb *Table, keys []uint64) {
+		for i := 0; i < b.N; i++ {
+			scanLookup(tb, keys[i%len(keys)])
+		}
+	})
+}
+
+// BenchmarkLookupParallel measures concurrent read scaling: the indexed
+// path resolves against a shared immutable snapshot, so throughput should
+// grow near-linearly with GOMAXPROCS (use -cpu 1,2,4 to see the curve).
+func BenchmarkLookupParallel(b *testing.B) {
+	runLookupCells(b, func(b *testing.B, tb *Table, keys []uint64) {
+		tb.LookupIndexBatch(keys[:1], nil)
+		b.ResetTimer()
+		b.RunParallel(func(pb *testing.PB) {
+			var dst []int32
+			i := 0
+			for pb.Next() {
+				k := i % len(keys)
+				dst, _ = tb.LookupIndexBatch(keys[k:k+1], dst)
+				i++
+			}
+		})
+	})
+}
+
+// BenchmarkLookupBatch resolves the whole 1024-key batch per op against
 // one snapshot.
-func BenchmarkLookupBatch1024(b *testing.B) {
-	tb := benchTable(b, 1024)
-	keys := benchKeys(1024)
-	dst, _ := tb.LookupIndexBatch(keys, nil)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dst, _ = tb.LookupIndexBatch(keys, dst)
-	}
+func BenchmarkLookupBatch(b *testing.B) {
+	runLookupCells(b, func(b *testing.B, tb *Table, keys []uint64) {
+		dst, _ := tb.LookupIndexBatch(keys, nil)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			dst, _ = tb.LookupIndexBatch(keys, dst)
+		}
+	})
 }
 
 func BenchmarkApplyRowsNoChange(b *testing.B) {

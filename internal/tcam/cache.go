@@ -23,8 +23,8 @@
 // Control rounds, audits, repairs, tier re-placement, tenant churn, and
 // even silent tampering all advance the snapshot generation, so no caller
 // ever needs an explicit flush and a generation bump can never serve stale
-// results — the cachebench differential pins this across 500 rounds of
-// churn, faults, and crash/restart.
+// results — core's TestCachedMatchesUncached pins this across 500 rounds
+// of churn, faults, and crash/restart.
 //
 // A LookupCache is caller-owned, like arith.Scratch: one per worker, no
 // locks on the read path, never shared by concurrent callers. The backing
