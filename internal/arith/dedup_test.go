@@ -196,15 +196,11 @@ func TestEnableCacheRebind(t *testing.T) {
 	}
 }
 
-// TestDedupZeroAllocs: the folded path with an armed cache must stay
-// allocation-free in steady state, like the plain EvalBatchInto contract.
+// TestDedupZeroAllocs: an armed cache, alone and under the dedup fold, must
+// stay allocation-free in steady state, like the plain EvalBatchInto
+// contract.
 func TestDedupZeroAllocs(t *testing.T) {
 	ue, be := dedupEngines(t)
-	var scU, scB Scratch
-	scU.EnableDedup()
-	scU.EnableCache(ue.Store(), 1024)
-	scB.EnableDedup()
-	scB.EnableCache(be.Store(), 1024)
 	xs := make([]uint64, 1024)
 	ys := make([]uint64, 1024)
 	rng := rand.New(rand.NewSource(5))
@@ -212,17 +208,26 @@ func TestDedupZeroAllocs(t *testing.T) {
 		xs[i] = uint64(rng.Intn(96)) // mix of hits and misses
 		ys[i] = uint64(rng.Intn(64))
 	}
-	var dst []uint64
-	dst, _ = ue.EvalBatchInto(dst, xs, &scU)
-	dst, _ = be.EvalBatchInto(dst, xs, ys, &scB)
-	if a := testing.AllocsPerRun(50, func() {
+	for _, dedup := range []bool{false, true} {
+		var scU, scB Scratch
+		if dedup {
+			scU.EnableDedup()
+			scB.EnableDedup()
+		}
+		scU.EnableCache(ue.Store(), 1024)
+		scB.EnableCache(be.Store(), 1024)
+		var dst []uint64
 		dst, _ = ue.EvalBatchInto(dst, xs, &scU)
-	}); a != 0 {
-		t.Fatalf("unary dedup+cache AllocsPerRun = %v, want 0", a)
-	}
-	if a := testing.AllocsPerRun(50, func() {
 		dst, _ = be.EvalBatchInto(dst, xs, ys, &scB)
-	}); a != 0 {
-		t.Fatalf("binary dedup+cache AllocsPerRun = %v, want 0", a)
+		if a := testing.AllocsPerRun(50, func() {
+			dst, _ = ue.EvalBatchInto(dst, xs, &scU)
+		}); a != 0 {
+			t.Fatalf("unary cache (dedup %v) AllocsPerRun = %v, want 0", dedup, a)
+		}
+		if a := testing.AllocsPerRun(50, func() {
+			dst, _ = be.EvalBatchInto(dst, xs, ys, &scB)
+		}); a != 0 {
+			t.Fatalf("binary cache (dedup %v) AllocsPerRun = %v, want 0", dedup, a)
+		}
 	}
 }

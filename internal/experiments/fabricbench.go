@@ -128,7 +128,9 @@ type fabricWorkload struct {
 // trio (entry-hungry drifting square, near-point-mass recip donor, moderate
 // sqrt), with per-tenant ranges spread so different switches see different
 // loads. Names are stable, so ring placement — and therefore the crowding
-// the elastic fabric must fix — is deterministic.
+// the elastic fabric must fix — is deterministic. fabric's
+// BenchmarkShardedIngest times ingest on the same trio (its ingestSample);
+// keep the two in step.
 func fabricWorkloads(n int) []fabricWorkload {
 	out := make([]fabricWorkload, n)
 	for i := 0; i < n; i++ {
