@@ -79,7 +79,7 @@ bench-serve:
 	$(GO) test -run TestServeBenchAcceptance -v ./internal/experiments
 	$(GO) run ./cmd/adabench -out . serve
 
-# Lookup-cache hot path: uncached, dedup-only and 4096-slot cached eval at
+# Lookup-cache hot path: uncached and 4096-slot cached eval at
 # Zipf s = 0.6, 1.1 and 1.4 over the width-17 exact population, then the
 # speed gate, which fails when the cache is less than 2x faster than
 # uncached eval at s = 1.1. The cached-vs-uncached differential is the tier-1

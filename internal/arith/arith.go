@@ -222,30 +222,22 @@ func resultOf(ord int32, pay tcam.Payloads) (uint64, error) {
 
 // Scratch holds the reusable buffers the typed batch-evaluation path
 // threads through the TCAM's ordinal lookup: the flat packed-key buffer
-// (binary engines only) and the resolved-ordinal buffer, plus the two
-// opt-in accelerations — a generation-keyed hot-key result cache
-// (EnableCache) and an intra-batch operand dedup pass (EnableDedup). The
-// zero value is ready to use; a caller that keeps one Scratch per replay
-// worker makes every steady-state EvalBatchInto call allocation-free. A
-// Scratch must not be shared by concurrent callers.
+// (binary engines only) and the resolved-ordinal buffer, plus an opt-in
+// generation-keyed hot-key result cache (EnableCache) that stands aside
+// wherever it does not pay. The zero value is ready to use; a caller that
+// keeps one Scratch per replay worker makes every steady-state
+// EvalBatchInto call allocation-free. A Scratch must not be shared by
+// concurrent callers.
 type Scratch struct {
 	flat []uint64
 	ords []int32
 
 	// cache memoizes key → ordinal across batches; see tcam.LookupCache
-	// for the invalidation model. It serves only the store it was armed
-	// for — an engine over a different store bypasses it.
+	// for the invalidation model and the bypass rule. It serves only the
+	// store it was armed for — an engine over a different store bypasses
+	// it.
 	cache        *tcam.LookupCache
 	cacheEntries int
-
-	// dedup state: a per-batch open-addressing fold of repeated operands.
-	// htab maps key hashes to 1-based indices into uniq; uniq holds each
-	// distinct packed key tuple once; remap holds, per sample, its tuple's
-	// index into uniq.
-	dedup bool
-	htab  []int32
-	uniq  []uint64
-	remap []int32
 }
 
 // EnableCache arms the scratch with a hot-key result cache of at least
@@ -261,12 +253,12 @@ func (sc *Scratch) EnableCache(store tcam.Store, entries int) {
 	sc.cacheEntries = entries
 }
 
-// EnableDedup turns on the intra-batch operand dedup pass: repeated key
-// tuples within one EvalBatchInto call are looked up once and the result
-// scattered to every occurrence. On heavily skewed (Zipf) batches this
-// shrinks a 4096-sample batch to tens of distinct lookups; on all-unique
-// batches it costs one extra pass over the keys.
-func (sc *Scratch) EnableDedup() { sc.dedup = true }
+// EnableDedup does nothing. It once armed an intra-batch operand dedup
+// fold, which lost wherever it was armed and was removed; the method stays
+// so existing callers keep compiling.
+//
+// Deprecated: every lookup resolves through the store or the cache.
+func (sc *Scratch) EnableDedup() {}
 
 // CacheStats returns the armed cache's cumulative counters (zero when no
 // cache is armed).
@@ -292,80 +284,11 @@ func (sc *Scratch) lookupBatch(store tcam.Store, flat []uint64) ([]int32, tcam.P
 	return ords, pay
 }
 
-// fold deduplicates the packed key tuples in flat (arity values per tuple):
-// on return sc.uniq holds each distinct tuple once in first-seen order,
-// sc.remap[i] is sample i's tuple index into it, and the returned count is
-// the number of distinct tuples. The hash table is sized to the next power
-// of two above 2n and reused across batches, so steady state allocates
-// nothing.
-func (sc *Scratch) fold(flat []uint64, arity int) int {
-	n := len(flat) / arity
-	size := 4
-	for size < 2*n {
-		size <<= 1
-	}
-	if cap(sc.htab) >= size {
-		sc.htab = sc.htab[:size]
-		clear(sc.htab)
-	} else {
-		sc.htab = make([]int32, size)
-	}
-	if cap(sc.remap) >= n {
-		sc.remap = sc.remap[:n]
-	} else {
-		sc.remap = make([]int32, n)
-	}
-	sc.uniq = sc.uniq[:0]
-	mask := size - 1
-	u := 0
-	for i := 0; i < n; i++ {
-		k0 := flat[i*arity]
-		var k1 uint64
-		h := k0 * 0x9E3779B97F4A7C15
-		if arity == 2 {
-			k1 = flat[i*arity+1]
-			h ^= (k1 + 0x9E3779B97F4A7C15) * 0xBF58476D1CE4E5B9
-		}
-		slot := int(h>>32) & mask
-		for {
-			e := sc.htab[slot]
-			if e == 0 {
-				sc.htab[slot] = int32(u + 1)
-				sc.uniq = append(sc.uniq, flat[i*arity:(i+1)*arity]...)
-				sc.remap[i] = int32(u)
-				u++
-				break
-			}
-			j := int(e - 1)
-			if sc.uniq[j*arity] == k0 && (arity == 1 || sc.uniq[j*arity+1] == k1) {
-				sc.remap[i] = e - 1
-				break
-			}
-			slot = (slot + 1) & mask
-		}
-	}
-	return u
-}
-
 // gather writes each ordinal's result into dst — 0 where the lookup missed
 // or the action data is not integral — and counts those misses.
 func gather(dst []uint64, ords []int32, pay tcam.Payloads) (misses int) {
 	for i, ord := range ords {
 		r, ok := pay.Value(ord)
-		if !ok {
-			misses++
-		}
-		dst[i] = r
-	}
-	return misses
-}
-
-// scatter resolves every sample's result from its unique tuple's ordinal,
-// writing positional results into dst and counting misses per occurrence —
-// exactly the accounting gather produces on the non-deduped path.
-func scatter(dst []uint64, remap []int32, ords []int32, pay tcam.Payloads) (misses int) {
-	for i, u := range remap {
-		r, ok := pay.Value(ords[u])
 		if !ok {
 			misses++
 		}
@@ -404,11 +327,6 @@ func (e *UnaryEngine) EvalBatchInto(dst []uint64, xs []uint64, sc *Scratch) (res
 		sc = &local
 	}
 	dst = sizeU64(dst, len(xs))
-	if sc.dedup {
-		u := sc.fold(xs, 1)
-		ords, pay := sc.lookupBatch(e.store, sc.uniq[:u])
-		return dst, scatter(dst, sc.remap[:len(xs)], ords, pay)
-	}
 	ords, pay := sc.lookupBatch(e.store, xs)
 	return dst, gather(dst, ords, pay)
 }
@@ -521,11 +439,6 @@ func (e *BinaryEngine) EvalBatchInto(dst []uint64, xs, ys []uint64, sc *Scratch)
 		flat[2*i], flat[2*i+1] = xs[i], ys[i]
 	}
 	dst = sizeU64(dst, n)
-	if sc.dedup {
-		u := sc.fold(flat, 2)
-		ords, pay := sc.lookupBatch(e.store, sc.uniq[:2*u])
-		return dst, scatter(dst, sc.remap[:n], ords, pay)
-	}
 	ords, pay := sc.lookupBatch(e.store, flat)
 	return dst, gather(dst, ords, pay)
 }

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/ada-repro/ada/internal/bitstr"
 	"github.com/ada-repro/ada/internal/population"
 )
 
@@ -27,19 +26,13 @@ const (
 )
 
 // benchExactEngine installs the population NaiveUnaryRange(sqrt, 17, 2^17,
-// 0, 2^17-1, Midpoint) returns, one single-key prefix per key in key order,
-// built directly because Subdivide takes quadratic time at 2^17 entries.
+// 0, 2^17-1, Midpoint): one single-key prefix per key.
 func benchExactEngine(b testing.TB) *UnaryEngine {
 	b.Helper()
-	f := OpSqrt.Func()
-	rows := make([]population.UnaryEntry, 1<<benchCacheWidth)
-	for i := range rows {
-		x := uint64(i)
-		p, err := bitstr.New(x, benchCacheWidth, benchCacheWidth)
-		if err != nil {
-			b.Fatal(err)
-		}
-		rows[i] = population.UnaryEntry{P: p, Result: f(x)}
+	const n = 1 << benchCacheWidth
+	rows, err := population.NaiveUnaryRange(OpSqrt.Func(), benchCacheWidth, n, 0, n-1, population.Midpoint)
+	if err != nil {
+		b.Fatal(err)
 	}
 	eng, err := NewUnaryEngine("cached-eval", benchCacheWidth, 0, rows)
 	if err != nil {
@@ -85,10 +78,11 @@ func checkPass(b *testing.B, eng *UnaryEngine, st zipfStream, sc *Scratch) []uin
 }
 
 // BenchmarkCachedEval times single-thread eval of Zipf-skewed operands at
-// s = 0.6, 1.1 and 1.4: uncached, with the intra-batch dedup fold alone,
-// and with a 4096-slot lookup cache. One op is one 4096-sample batch; the
-// cells cycle through their skew's stream. It is also the profiling entry
-// point for cache work:
+// s = 0.6, 1.1 and 1.4, uncached and with a 4096-slot lookup cache. One op
+// is one 4096-sample batch; the cells cycle through their skew's stream. A
+// cached cell reports the hit ratio of the lookups that probed and the share
+// of lookups the cache forwarded while it stood aside. It is also the
+// profiling entry point for cache work:
 //
 //	go test -run '^$' -bench CachedEval -cpuprofile cpu.out ./internal/arith
 func BenchmarkCachedEval(b *testing.B) {
@@ -98,7 +92,6 @@ func BenchmarkCachedEval(b *testing.B) {
 		arm  func(*Scratch)
 	}{
 		{"uncached", func(*Scratch) {}},
-		{"dedup", (*Scratch).EnableDedup},
 		{"cache4096", func(sc *Scratch) { sc.EnableCache(eng.Store(), benchCacheSlots) }},
 	}
 	for _, s := range []float64{0.6, 1.1, 1.4} {
@@ -119,6 +112,9 @@ func BenchmarkCachedEval(b *testing.B) {
 				after := sc.CacheStats()
 				if n := after.Hits + after.Misses - before.Hits - before.Misses; n > 0 {
 					b.ReportMetric(float64(after.Hits-before.Hits)/float64(n), "hit-ratio")
+				}
+				if mode.name != "uncached" {
+					b.ReportMetric(float64(after.Bypassed-before.Bypassed)/float64(b.N*benchCacheBatch), "bypassed")
 				}
 			})
 		}

@@ -28,12 +28,13 @@ func dedupEngines(t *testing.T) (*UnaryEngine, *BinaryEngine) {
 	return ue, be
 }
 
-// TestDedupDifferential pins the dedup + cache path to the plain path on
-// adversarial batch shapes: all-identical (one lookup fans out to every
-// sample), all-unique (dedup finds nothing to fold), operands pinned at the
-// domain maximum (saturating results), and miss-heavy batches (half the
+// TestDedupDifferential pins the cached path to the plain path on
+// adversarial batch shapes: all-identical (one key repeated through every
+// sample), all-unique (nothing repeats within a batch), operands pinned at
+// the domain maximum (saturating results), and miss-heavy batches (half the
 // unary domain is unpopulated). Results and per-occurrence miss accounting
-// must be bit-identical throughout.
+// must be bit-identical throughout. The name predates the removal of the
+// intra-batch dedup fold, whose repeated-key shapes these were.
 func TestDedupDifferential(t *testing.T) {
 	ue, be := dedupEngines(t)
 	rng := rand.New(rand.NewSource(17))
@@ -81,10 +82,8 @@ func TestDedupDifferential(t *testing.T) {
 	}
 
 	var sc Scratch
-	sc.EnableDedup()
 	sc.EnableCache(ue.Store(), 512)
 	var scB Scratch
-	scB.EnableDedup()
 	scB.EnableCache(be.Store(), 512)
 	var dst []uint64
 	for name, gen := range batches {
@@ -127,13 +126,12 @@ func TestDedupDifferential(t *testing.T) {
 	}
 }
 
-// TestDedupReloadDifferential pins dedup + cache across population changes:
-// every Reload must invalidate transparently.
+// TestDedupReloadDifferential pins the cached path across population
+// changes: every Reload must invalidate transparently.
 func TestDedupReloadDifferential(t *testing.T) {
 	ue, _ := dedupEngines(t)
 	rng := rand.New(rand.NewSource(23))
 	var sc Scratch
-	sc.EnableDedup()
 	sc.EnableCache(ue.Store(), 256)
 	var dst []uint64
 	for round := 0; round < 8; round++ {
@@ -196,9 +194,10 @@ func TestEnableCacheRebind(t *testing.T) {
 	}
 }
 
-// TestDedupZeroAllocs: an armed cache, alone and under the dedup fold, must
-// stay allocation-free in steady state, like the plain EvalBatchInto
-// contract.
+// TestDedupZeroAllocs: an armed cache must stay allocation-free in steady
+// state, like the plain EvalBatchInto contract, both while it probes and
+// while it stands aside. The one-set cache cannot hold the stream, so after
+// one trial window of misses every engine forwards its batches uncached.
 func TestDedupZeroAllocs(t *testing.T) {
 	ue, be := dedupEngines(t)
 	xs := make([]uint64, 1024)
@@ -208,26 +207,29 @@ func TestDedupZeroAllocs(t *testing.T) {
 		xs[i] = uint64(rng.Intn(96)) // mix of hits and misses
 		ys[i] = uint64(rng.Intn(64))
 	}
-	for _, dedup := range []bool{false, true} {
+	for _, slots := range []int{1024, 1} {
 		var scU, scB Scratch
-		if dedup {
-			scU.EnableDedup()
-			scB.EnableDedup()
-		}
-		scU.EnableCache(ue.Store(), 1024)
-		scB.EnableCache(be.Store(), 1024)
+		scU.EnableCache(ue.Store(), slots)
+		scB.EnableCache(be.Store(), slots)
 		var dst []uint64
-		dst, _ = ue.EvalBatchInto(dst, xs, &scU)
-		dst, _ = be.EvalBatchInto(dst, xs, ys, &scB)
+		for i := 0; i < 32; i++ { // two trial windows
+			dst, _ = ue.EvalBatchInto(dst, xs, &scU)
+			dst, _ = be.EvalBatchInto(dst, xs, ys, &scB)
+		}
 		if a := testing.AllocsPerRun(50, func() {
 			dst, _ = ue.EvalBatchInto(dst, xs, &scU)
 		}); a != 0 {
-			t.Fatalf("unary cache (dedup %v) AllocsPerRun = %v, want 0", dedup, a)
+			t.Fatalf("unary cache (%d slots) AllocsPerRun = %v, want 0", slots, a)
 		}
 		if a := testing.AllocsPerRun(50, func() {
 			dst, _ = be.EvalBatchInto(dst, xs, ys, &scB)
 		}); a != 0 {
-			t.Fatalf("binary cache (dedup %v) AllocsPerRun = %v, want 0", dedup, a)
+			t.Fatalf("binary cache (%d slots) AllocsPerRun = %v, want 0", slots, a)
+		}
+		bypassed := scU.CacheStats().Bypassed > 0 && scB.CacheStats().Bypassed > 0
+		if want := slots == 1; bypassed != want {
+			t.Fatalf("%d slots: bypassed %v, want %v (unary %+v, binary %+v)",
+				slots, bypassed, want, scU.CacheStats(), scB.CacheStats())
 		}
 	}
 }

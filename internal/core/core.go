@@ -100,11 +100,12 @@ type Config struct {
 	CrashHook func(controlplane.CrashPoint) bool
 	// LookupCacheEntries, when positive, arms each data-plane worker's
 	// Scratch passed to ObserveEvalAll with a hot-key result cache of this
-	// many slots in front of the calculation store, plus the intra-batch
-	// operand dedup pass (see arith.Scratch and tcam.LookupCache). The
-	// monitoring path stays fully uncached — every sample still lands in
-	// its per-bin register — so drift detection and tier placement see
-	// histograms bit-identical to an uncached run. 0 disables both.
+	// many slots in front of the calculation store (see arith.Scratch and
+	// tcam.LookupCache); the cache stands aside on streams whose hit ratio
+	// does not pay for the probe. The monitoring path stays fully uncached —
+	// every sample still lands in its per-bin register — so drift detection
+	// and tier placement see histograms bit-identical to an uncached run.
+	// 0 disables the cache.
 	LookupCacheEntries int
 }
 
@@ -662,7 +663,6 @@ func (s *UnarySystem) ObserveEvalAll(dst []uint64, xs []uint64, sc *arith.Scratc
 	s.ctl.Monitor().ObserveAll(xs)
 	if sc != nil && s.cfg.LookupCacheEntries > 0 {
 		sc.EnableCache(s.engine.Store(), s.cfg.LookupCacheEntries)
-		sc.EnableDedup()
 	}
 	return s.engine.EvalBatchInto(dst, xs, sc)
 }
@@ -858,7 +858,6 @@ func (s *BinarySystem) ObserveEvalAll(dst []uint64, xs, ys []uint64, sc *arith.S
 	s.ctlY.Monitor().ObserveAll(ys)
 	if sc != nil && s.cfg.LookupCacheEntries > 0 {
 		sc.EnableCache(s.engine.Store(), s.cfg.LookupCacheEntries)
-		sc.EnableDedup()
 	}
 	return s.engine.EvalBatchInto(dst, xs, ys, sc)
 }

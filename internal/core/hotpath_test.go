@@ -55,7 +55,8 @@ func warmedBinary(t testing.TB, seed int64) (*BinarySystem, []uint64, []uint64) 
 // and requires the
 // two runs to agree sample-for-sample on results and misses and end with
 // identical register snapshots and monitor stats. This is the differential
-// proof that the striped, typed hot path is bit-identical under contention.
+// proof that the batch-flushed, typed hot path is bit-identical under
+// contention.
 func TestConcurrentObserveEvalMatchesSequential(t *testing.T) {
 	const batch = 512
 

@@ -74,9 +74,10 @@ type RecoveryBenchRow struct {
 	// row). Delta repair must be strictly cheaper at these rates.
 	RepairWrites         int `json:"repair_writes"`
 	FullRepopulateWrites int `json:"full_repopulate_writes"`
-	// AuditDelayNs is the modelled delay of the detecting round's audit
-	// (row read-back plus repair writes under the Fig 9 cost model).
-	AuditDelayNs float64 `json:"audit_delay_ns"`
+	// AuditModelledDelayNs is the modelled delay of the detecting round's
+	// audit (row read-back plus repair writes under the Fig 9 cost model),
+	// not a clock reading.
+	AuditModelledDelayNs float64 `json:"audit_modelled_delay_ns"`
 	// Arithmetic mean relative error (%): before corruption, during the
 	// corruption window, and after the audit repaired it.
 	CleanErrPct   float64 `json:"clean_err_pct"`
@@ -182,7 +183,7 @@ func RunRecoveryBench(cfg RecoveryBenchConfig) ([]RecoveryBenchRow, error) {
 			if rep.AuditRan && rep.Audit.Mismatched() > 0 {
 				row.DetectionSyncs = i
 				row.RepairWrites = rep.Audit.RepairWrites
-				row.AuditDelayNs = float64(rep.Delay.Nanoseconds())
+				row.AuditModelledDelayNs = float64(rep.Delay.Nanoseconds())
 				detected = true
 				break
 			}

@@ -44,7 +44,7 @@ func TestRecoveryBenchAcceptance(t *testing.T) {
 			t.Errorf("rate %.2f: repair did not restore arithmetic error (%.4f%% vs corrupt %.4f%%)",
 				r.CorruptRate, r.HealedErrPct, r.CorruptErrPct)
 		}
-		if r.AuditDelayNs <= 0 {
+		if r.AuditModelledDelayNs <= 0 {
 			t.Errorf("rate %.2f: audit delay not modelled", r.CorruptRate)
 		}
 	}

@@ -139,6 +139,7 @@ type ServeBenchMode struct {
 	// at soak end.
 	CacheHits          uint64 `json:"cache_hits"`
 	CacheMisses        uint64 `json:"cache_misses"`
+	CacheBypassed      uint64 `json:"cache_bypassed"`
 	CacheInvalidations uint64 `json:"cache_invalidations"`
 	// LeakedGoroutines is the post-Close goroutine delta against the
 	// pre-soak baseline (after settling).
@@ -436,6 +437,7 @@ func runServeMode(cfg ServeBenchConfig, adaptive bool) (ServeBenchMode, error) {
 		mode.TCAMWrites += int(snap[fmt.Sprintf(`ada_serve_tcam_writes_total{tenant="%s"}`, name)])
 		mode.CacheHits += uint64(snap[fmt.Sprintf(`ada_lookup_cache_hits_total{tenant="%s"}`, name)])
 		mode.CacheMisses += uint64(snap[fmt.Sprintf(`ada_lookup_cache_misses_total{tenant="%s"}`, name)])
+		mode.CacheBypassed += uint64(snap[fmt.Sprintf(`ada_lookup_cache_bypassed_total{tenant="%s"}`, name)])
 		mode.CacheInvalidations += uint64(snap[fmt.Sprintf(`ada_lookup_cache_invalidations_total{tenant="%s"}`, name)])
 	}
 	mode.Batches = uint64(snap["ada_serve_batch_seconds_count"])
@@ -516,8 +518,8 @@ func RenderServeBench(res ServeBenchResult) string {
 	out += fmt.Sprintf("\nfixed cadence spent %.2fx the adaptive pacer's TCAM writes for err p99 %.4f vs %.4f\n",
 		res.WriteRatio, res.Fixed.ErrP99, res.Adaptive.ErrP99)
 	if tot := res.Adaptive.CacheHits + res.Adaptive.CacheMisses; tot > 0 {
-		out += fmt.Sprintf("lookup cache: %.1f%% hit rate, %d invalidations (adaptive soak)\n",
-			100*float64(res.Adaptive.CacheHits)/float64(tot), res.Adaptive.CacheInvalidations)
+		out += fmt.Sprintf("lookup cache: %.1f%% hit rate, %d lookups bypassed, %d invalidations (adaptive soak)\n",
+			100*float64(res.Adaptive.CacheHits)/float64(tot), res.Adaptive.CacheBypassed, res.Adaptive.CacheInvalidations)
 	}
 	return out
 }

@@ -61,18 +61,20 @@ func DefaultTieredBenchConfig() TieredBenchConfig {
 // ternary capacity the configuration consumes — the resource the paper's
 // budget axis prices; SRAM accounting is zero for pure rows.
 type TieredBenchRow struct {
-	Mode        string  `json:"mode"` // "pure" or "tiered"
-	Budget      int     `json:"budget"`
-	TCAMRows    int     `json:"tcam_rows"`
-	MeanRelErr  float64 `json:"mean_rel_err_pct"`
-	TCAMWrites  uint64  `json:"tcam_writes"`
-	SRAMWrites  uint64  `json:"sram_writes"`
-	Promotions  uint64  `json:"tier_promotions"`
-	Demotions   uint64  `json:"tier_demotions"`
-	HotRows     int     `json:"hot_rows"`
-	ColdRows    int     `json:"cold_rows"`
-	FinalDelay  int64   `json:"total_delay_ns"`
-	SyncedRound int     `json:"rounds"`
+	Mode       string  `json:"mode"` // "pure" or "tiered"
+	Budget     int     `json:"budget"`
+	TCAMRows   int     `json:"tcam_rows"`
+	MeanRelErr float64 `json:"mean_rel_err_pct"`
+	TCAMWrites uint64  `json:"tcam_writes"`
+	SRAMWrites uint64  `json:"sram_writes"`
+	Promotions uint64  `json:"tier_promotions"`
+	Demotions  uint64  `json:"tier_demotions"`
+	HotRows    int     `json:"hot_rows"`
+	ColdRows   int     `json:"cold_rows"`
+	// ModelledDelay is the CostModel delay summed over every round, not a
+	// clock reading.
+	ModelledDelay int64 `json:"total_modelled_delay_ns"`
+	SyncedRound   int   `json:"rounds"`
 }
 
 // tieredBenchSystem builds one unary x² system: tcamSlice == 0 selects the
@@ -136,7 +138,7 @@ func runTieredBenchSystem(sys *core.UnarySystem, cfg TieredBenchConfig) (TieredB
 	row.SRAMWrites = tot.SRAMWrites
 	row.Promotions = tot.TierPromotions
 	row.Demotions = tot.TierDemotions
-	row.FinalDelay = tot.Delay.Nanoseconds()
+	row.ModelledDelay = tot.Delay.Nanoseconds()
 	if ts, ok := sys.Engine().Store().(*tcam.TieredStore); ok {
 		row.HotRows, row.ColdRows = ts.HotLen(), ts.ColdLen()
 	} else {

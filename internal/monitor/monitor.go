@@ -12,19 +12,19 @@
 // The observe path is built for multi-core replay at zero steady-state
 // allocation: batch lookups resolve through the TCAM's typed ordinal path
 // (no per-sample interface assertions), scratch buffers recycle through a
-// pool, and the register file is striped — each worker increments its own
-// cache-line-padded stripe with a plain atomic add instead of contending a
-// CAS loop on one shared slice. Stripes are merged, and register-width
-// saturation enforced, when the control plane reads the registers, which
-// keeps snapshots and the saturation statistic bit-identical to a sequential
-// replay (increments are commutative, and min(total, max) equals the
-// per-increment clamp regardless of interleaving).
+// pool, and a batch counts its hits per bin locally before flushing each
+// touched bin's total into the one register file with a single atomic add,
+// so concurrent observers contend on at most one add per bin per batch.
+// Register-width saturation is enforced when the control plane reads the
+// registers, which keeps snapshots and the saturation statistic
+// bit-identical to a sequential replay (increments are commutative, and
+// min(total, max) equals the per-increment clamp regardless of
+// interleaving).
 package monitor
 
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -43,11 +43,6 @@ var (
 // DefaultRegisterBits is the register width of the modelled switch; Tofino
 // register cells are 32 bits.
 const DefaultRegisterBits = 32
-
-// stripePad rounds each stripe up to whole cache lines and adds one guard
-// line, so no cache line ever holds live counters of two stripes regardless
-// of the backing array's alignment.
-const stripePad = 8 // uint64s per 64-byte cache line
 
 // Stats counts data-plane and control-plane operations on the monitor.
 type Stats struct {
@@ -78,20 +73,24 @@ type monStats struct {
 	saturations    atomic.Uint64 // increments lost in registers already drained
 }
 
-// obsScratch is the per-batch buffer set ObserveAll recycles: masked keys
-// and resolved ordinals. Losing one to the pool's GC costs a re-allocation,
-// never counts.
+// obsScratch is the per-batch buffer set ObserveAll recycles: masked keys,
+// resolved ordinals, and the batch's local per-bin hit counts with the bins
+// they touched. counts' whole backing array is zero between batches, so it
+// serves any bin count up to its capacity. Losing one to the pool's GC costs
+// a re-allocation, never counts.
 type obsScratch struct {
-	keys []uint64
-	ords []int32
+	keys    []uint64
+	ords    []int32
+	counts  []uint64
+	touched []uint32
 }
 
 // Monitor is the data-plane monitoring unit for one variable. It is safe
 // for concurrent use, and observation scales across goroutines: observers
 // hold the lock in shared mode (the bin lookup itself is lock-free inside
-// the tcam package) and bump per-stripe registers with uncontended atomic
-// adds, so many packets observe in parallel while only control-plane
-// operations — Install, Snapshot, Reset — exclude them.
+// the tcam package) and flush each batch into the registers with one atomic
+// add per touched bin, so many packets observe in parallel while only
+// control-plane operations — Install, Snapshot, Reset — exclude them.
 type Monitor struct {
 	mu sync.RWMutex // RLock: observers; Lock: install/snapshot/reset
 
@@ -100,17 +99,12 @@ type Monitor struct {
 	width       int
 	registerMax uint64
 	capacity    int
-	nstripes    int
 	stats       monStats
 
-	// bins and stripes are guarded by mu (observers RLock them and mutate
-	// stripe elements atomically); each stripe is a bins-long window into
-	// one padded backing array, at least a guard cache line apart from its
-	// neighbours.
-	bins     int
-	stripes  [][]uint64
-	nextLane atomic.Uint32
-	scratch  sync.Pool // of *obsScratch
+	// regs is guarded by mu: observers RLock it and add to its elements
+	// atomically, so its length is the installed bin count.
+	regs    []uint64
+	scratch sync.Pool // of *obsScratch
 }
 
 // Option configures a Monitor.
@@ -131,18 +125,6 @@ func WithRegisterBits(bits int) Option {
 	}
 }
 
-// WithStripes sets the register stripe count (default GOMAXPROCS). More
-// stripes than concurrent observers only costs merge time; fewer reintroduces
-// contention on the shared cache lines. 1 restores a single register file.
-func WithStripes(n int) Option {
-	return func(m *Monitor) {
-		if n < 1 {
-			n = 1
-		}
-		m.nstripes = n
-	}
-}
-
 // New creates a monitor for width-bit operands with the given monitoring
 // TCAM capacity (0 = unbounded). Install must be called before observing.
 func New(name string, width, capacity int, opts ...Option) (*Monitor, error) {
@@ -155,30 +137,12 @@ func New(name string, width, capacity int, opts ...Option) (*Monitor, error) {
 		width:       width,
 		capacity:    capacity,
 		registerMax: uint64(1)<<DefaultRegisterBits - 1,
-		nstripes:    runtime.GOMAXPROCS(0),
 	}
 	for _, o := range opts {
 		o(m)
 	}
-	if m.nstripes < 1 {
-		m.nstripes = 1
-	}
 	m.scratch.New = func() any { return new(obsScratch) }
-	m.allocStripesLocked(0)
 	return m, nil
-}
-
-// allocStripesLocked replaces the register stripes with zeroed ones for the
-// given bin count; m.mu must be held exclusively (or the monitor not yet
-// shared).
-func (m *Monitor) allocStripesLocked(bins int) {
-	stride := (bins+stripePad-1)&^(stripePad-1) + stripePad
-	backing := make([]uint64, m.nstripes*stride)
-	m.stripes = make([][]uint64, m.nstripes)
-	for i := range m.stripes {
-		m.stripes[i] = backing[i*stride : i*stride+bins : i*stride+bins]
-	}
-	m.bins = bins
 }
 
 // Install replaces the monitoring bins. The prefixes must tile the operand
@@ -208,22 +172,14 @@ func (m *Monitor) Install(prefixes []bitstr.Prefix) (int, error) {
 		return 0, err
 	}
 	// Fold the discarded registers' lost increments into the lifetime
-	// saturation statistic before the stripes are replaced, exactly as the
-	// per-increment accounting would have counted them.
+	// saturation statistic before the registers are replaced, exactly as
+	// the per-increment accounting would have counted them.
 	m.drainLocked(nil, true)
 	m.prefixes = make([]bitstr.Prefix, len(prefixes))
 	copy(m.prefixes, prefixes)
-	m.allocStripesLocked(len(prefixes))
+	m.regs = make([]uint64, len(prefixes))
 	m.stats.tcamWrites.Add(uint64(writes))
 	return writes, nil
-}
-
-// lane picks the stripe this caller increments. Round-robin assignment is
-// enough: correctness never depends on exclusivity (stripe increments are
-// atomic), only contention does, and concurrent replay workers calling once
-// per batch land on distinct stripes.
-func (m *Monitor) lane() []uint64 {
-	return m.stripes[int(m.nextLane.Add(1))%len(m.stripes)]
 }
 
 // Observe records one data-plane sample — match the monitoring TCAM,
@@ -235,9 +191,9 @@ func (m *Monitor) Observe(v uint64) bool {
 
 // ObserveAll records a batch of samples, resolving all of them against one
 // compiled TCAM snapshot through the typed ordinal path — no per-sample
-// lookup dispatch, interface assertion, or allocation: the masked-key and
-// ordinal buffers recycle through an internal pool, and the whole batch
-// increments one register stripe.
+// lookup dispatch, interface assertion, or allocation: the masked-key,
+// ordinal and count buffers recycle through an internal pool, and the batch
+// adds each touched bin's hits to its register once.
 func (m *Monitor) ObserveAll(vs []uint64) {
 	if len(vs) > 0 {
 		m.observe(vs)
@@ -246,8 +202,10 @@ func (m *Monitor) ObserveAll(vs []uint64) {
 
 // observe records vs and returns how many matched a bin. The critical
 // section is shared (read-locked) and the bin lookup is lock-free, so
-// concurrent observers do not serialize; only the register/stat update is
-// synchronized, via per-stripe atomics.
+// concurrent observers do not serialize; only the register flush is
+// synchronized, via one atomic add per bin the batch touched. The flush
+// walks the touched bins, not every bin, so it costs O(batch) even on a
+// monitor with many bins.
 func (m *Monitor) observe(vs []uint64) (matched uint64) {
 	mask := ^uint64(0)
 	if m.width < 64 {
@@ -266,39 +224,46 @@ func (m *Monitor) observe(vs []uint64) (matched uint64) {
 	}
 	m.mu.RLock()
 	ords, pay := m.table.LookupIndexBatch(keys, sc.ords)
-	lane := m.lane()
-	bins := uint64(m.bins)
+	regs := m.regs
+	counts, touched := sc.counts, sc.touched[:0]
+	if cap(counts) < len(regs) {
+		counts = make([]uint64, len(regs))
+	}
+	counts = counts[:len(regs)]
 	for _, ord := range ords {
 		idx, ok := pay.Value(ord)
-		if !ok || idx >= bins {
+		if !ok || idx >= uint64(len(counts)) {
 			continue
 		}
-		atomic.AddUint64(&lane[idx], 1)
-		matched++
+		if counts[idx] == 0 {
+			touched = append(touched, uint32(idx))
+		}
+		counts[idx]++
+	}
+	for _, b := range touched {
+		atomic.AddUint64(&regs[b], counts[b])
+		matched += counts[b]
+		counts[b] = 0
 	}
 	m.mu.RUnlock()
 	m.stats.matched.Add(matched)
-	sc.keys, sc.ords = keys, ords
+	sc.keys, sc.ords, sc.counts, sc.touched = keys, ords, counts, touched
 	m.scratch.Put(sc)
 	return matched
 }
 
-// drainLocked merges the stripes into dst (when non-nil) with register-width
-// saturation applied, and, when reset is set, zeroes the stripes and folds
-// the lost increments into the lifetime saturation counter; m.mu must be
-// held exclusively. Merging under the exclusive lock is what makes the
-// result bit-identical to a sequential replay: no increment is in flight,
-// and min(total, max) is exactly what per-increment clamping would have
-// left in the register.
+// drainLocked copies the registers into dst (when non-nil) with
+// register-width saturation applied, and, when reset is set, zeroes them and
+// folds the lost increments into the lifetime saturation counter; m.mu must
+// be held exclusively. Reading under the exclusive lock is what makes the
+// result bit-identical to a sequential replay: no flush is in flight, and
+// min(total, max) is exactly what per-increment clamping would have left in
+// the register.
 func (m *Monitor) drainLocked(dst []uint64, reset bool) {
-	for i := 0; i < m.bins; i++ {
-		var total uint64
-		for _, s := range m.stripes {
-			if reset {
-				total += atomic.SwapUint64(&s[i], 0)
-			} else {
-				total += atomic.LoadUint64(&s[i])
-			}
+	for i := range m.regs {
+		total := m.regs[i]
+		if reset {
+			m.regs[i] = 0
 		}
 		v := total
 		if v > m.registerMax {
@@ -325,9 +290,9 @@ func (m *Monitor) Snapshot() []uint64 {
 func (m *Monitor) SnapshotInto(dst []uint64) []uint64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	dst = sizeFor(dst, m.bins)
+	dst = sizeFor(dst, len(m.regs))
 	m.drainLocked(dst, false)
-	m.stats.registerReads.Add(uint64(m.bins))
+	m.stats.registerReads.Add(uint64(len(m.regs)))
 	return dst
 }
 
@@ -344,10 +309,10 @@ func (m *Monitor) SnapshotAndReset() []uint64 {
 func (m *Monitor) SnapshotAndResetInto(dst []uint64) []uint64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	dst = sizeFor(dst, m.bins)
+	dst = sizeFor(dst, len(m.regs))
 	m.drainLocked(dst, true)
-	m.stats.registerReads.Add(uint64(m.bins))
-	m.stats.registerWrites.Add(uint64(m.bins))
+	m.stats.registerReads.Add(uint64(len(m.regs)))
+	m.stats.registerWrites.Add(uint64(len(m.regs)))
 	return dst
 }
 
@@ -402,7 +367,7 @@ func (m *Monitor) Reset() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.drainLocked(nil, true)
-	m.stats.registerWrites.Add(uint64(m.bins))
+	m.stats.registerWrites.Add(uint64(len(m.regs)))
 }
 
 // NumBins returns the installed bin count.
@@ -433,12 +398,8 @@ func (m *Monitor) Table() *tcam.Table { return m.table }
 func (m *Monitor) Stats() Stats {
 	m.mu.RLock()
 	sat := m.stats.saturations.Load()
-	for i := 0; i < m.bins; i++ {
-		var total uint64
-		for _, s := range m.stripes {
-			total += atomic.LoadUint64(&s[i])
-		}
-		if total > m.registerMax {
+	for i := range m.regs {
+		if total := atomic.LoadUint64(&m.regs[i]); total > m.registerMax {
 			sat += total - m.registerMax
 		}
 	}

@@ -7,13 +7,9 @@ import (
 	"github.com/ada-repro/ada/internal/bitstr"
 )
 
-func oneBinMonitor(t *testing.T, bits, stripes int) *Monitor {
+func oneBinMonitor(t *testing.T, bits int) *Monitor {
 	t.Helper()
-	opts := []Option{WithRegisterBits(bits)}
-	if stripes > 0 {
-		opts = append(opts, WithStripes(stripes))
-	}
-	m, err := New("bound", 8, 0, opts...)
+	m, err := New("bound", 8, 0, WithRegisterBits(bits))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +26,7 @@ func oneBinMonitor(t *testing.T, bits, stripes int) *Monitor {
 func TestSaturationExactBoundary(t *testing.T) {
 	for _, bits := range []int{1, 3, 4} {
 		max := uint64(1)<<uint(bits) - 1
-		m := oneBinMonitor(t, bits, 0)
+		m := oneBinMonitor(t, bits)
 
 		for i := uint64(0); i < max; i++ {
 			m.Observe(uint64(i % 256))
@@ -64,21 +60,25 @@ func TestSaturationExactBoundary(t *testing.T) {
 }
 
 // TestSaturationBoundaryAcrossStripes drives the same boundary through the
-// batch path with every increment on a different stripe: each stripe is far
-// below the register limit, so only the merge-time clamp can see the
-// overflow. The merged view must behave exactly like a single register.
+// batch path, where each batch flushes its whole hit count into the register
+// with one add: batches of 1, 2, 4, 8 and 16 samples fill a 5-bit register
+// to exactly 31 without a single per-sample increment, and the clamp at
+// read time must still behave exactly like a per-increment register. A
+// flush that crosses the limit loses exactly its overshoot.
 func TestSaturationBoundaryAcrossStripes(t *testing.T) {
-	const bits, stripes = 5, 4 // max 31, spread over 4 stripes
+	const bits = 5 // max 31 = 1+2+4+8+16
 	max := uint64(1)<<bits - 1
-	m := oneBinMonitor(t, bits, stripes)
+	m := oneBinMonitor(t, bits)
 
-	// 31 increments in 31 one-sample batches: lane() round-robins, so every
-	// stripe holds ~8 — nowhere near 31.
-	for i := uint64(0); i < max; i++ {
-		m.ObserveAll([]uint64{i % 256})
+	for size := 1; size <= 16; size *= 2 {
+		batch := make([]uint64, size)
+		for i := range batch {
+			batch[i] = uint64(i * 37 % 256)
+		}
+		m.ObserveAll(batch)
 	}
 	if snap := m.Snapshot(); snap[0] != max {
-		t.Fatalf("merged snapshot at exactly max = %v, want [%d]", snap, max)
+		t.Fatalf("flushed snapshot at exactly max = %v, want [%d]", snap, max)
 	}
 	if s := m.Stats().Saturations; s != 0 {
 		t.Fatalf("live saturations at exactly max = %d, want 0", s)
@@ -93,18 +93,29 @@ func TestSaturationBoundaryAcrossStripes(t *testing.T) {
 	if s := m.Stats().Saturations; s != 1 {
 		t.Fatalf("saturations after drain = %d, want 1", s)
 	}
+
+	// 30 in one flush, then a 3-sample flush crossing the limit: 2 lost.
+	m.ObserveAll(make([]uint64, 30))
+	m.ObserveAll([]uint64{1, 2, 3})
+	if snap := m.SnapshotAndReset(); snap[0] != max {
+		t.Fatalf("drain after a crossing flush = %v, want [%d]", snap, max)
+	}
+	if s := m.Stats().Saturations; s != 3 {
+		t.Fatalf("saturations after a crossing flush = %d, want 1+2", s)
+	}
 }
 
-// TestStripedDrainConservation: concurrent striped observers racing
-// SnapshotAndReset must neither lose nor double-count increments when the
-// register is wide enough not to clamp — the drains plus the residual must
-// sum to exactly the number of observations.
+// TestStripedDrainConservation: concurrent observers flushing batch totals
+// into the one register file while SnapshotAndReset races them must neither
+// lose nor double-count increments when the register is wide enough not to
+// clamp — the drains plus the residual must sum to exactly the number of
+// observations.
 func TestStripedDrainConservation(t *testing.T) {
 	const (
 		goroutines = 6
 		perG       = 5000
 	)
-	m := oneBinMonitor(t, 64, goroutines)
+	m := oneBinMonitor(t, 64)
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})

@@ -91,7 +91,7 @@ func TestConcurrentSaturationMatchesSequential(t *testing.T) {
 
 // TestSaturationAccountingStable: Saturations is computed live, so the
 // overflow of undrained registers already shows before any drain, a
-// read-only Snapshot leaves the stripes intact, and draining folds the
+// read-only Snapshot leaves the registers intact, and draining folds the
 // same loss into the lifetime counter exactly once — never double-charged.
 func TestSaturationAccountingStable(t *testing.T) {
 	m, err := New("satonce", 8, 0, WithRegisterBits(2)) // registerMax = 3

@@ -87,38 +87,32 @@ type BinaryEntry struct {
 }
 
 // Subdivide tiles prefix p with up to m sub-prefixes: it starts from p and
-// greedily splits the widest emitted prefix until the budget or full
-// specification is reached. The result always exactly tiles p and has
-// min-width spread of at most one bit.
+// greedily splits the widest emitted prefix, the first-emitted one on ties,
+// until the budget or full specification is reached. The result always
+// exactly tiles p and has min-width spread of at most one bit. It runs in
+// O(m log m): see subdivideOrder.
 func Subdivide(p bitstr.Prefix, m int) []bitstr.Prefix {
-	if m < 1 {
-		m = 1
-	}
-	out := []bitstr.Prefix{p}
-	for len(out) < m {
-		// Split the entry with the most wildcard bits; first wins ties so the
-		// result is deterministic and value-ordered refinement is stable.
-		best, bestWild := -1, 0
-		for i, q := range out {
-			if q.WildBits() > bestWild {
-				best, bestWild = i, q.WildBits()
-			}
-		}
-		if best < 0 {
-			break // all fully specified
-		}
-		l, err := out[best].Left()
-		if err != nil {
-			break
-		}
-		r, err := out[best].Right()
-		if err != nil {
-			break
-		}
-		out[best] = l
-		out = append(out, r)
-	}
+	out := subdivideOrder(p, m)
 	bitstr.SortPrefixes(out)
+	return out
+}
+
+// subdivideOrder is Subdivide before its sort, in emission order. It splits
+// level by level: at the start of a level every prefix in out has the same
+// width, so the greedy pick is out[0], out[1], … in turn, each split leaving
+// its left half in place and appending its right half, until the level's
+// prefixes are all split and the next level begins.
+func subdivideOrder(p bitstr.Prefix, m int) []bitstr.Prefix {
+	out := []bitstr.Prefix{p}
+	for len(out) < m && out[0].WildBits() > 0 {
+		for i, level := 0, len(out); i < level && len(out) < m; i++ {
+			// out[i] has wildcard bits, so neither half can fail.
+			l, _ := out[i].Left()
+			r, _ := out[i].Right()
+			out[i] = l
+			out = append(out, r)
+		}
+	}
 	return out
 }
 

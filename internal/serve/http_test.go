@@ -50,6 +50,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"ada_serve_audits_total", "ada_serve_degraded", "ada_serve_tenants",
 		"ada_serve_ticks_total", "ada_lookup_cache_hits_total",
 		"ada_lookup_cache_misses_total", "ada_lookup_cache_invalidations_total",
+		"ada_lookup_cache_bypassed_total",
 	} {
 		if !strings.Contains(text, "# TYPE "+family+" ") {
 			t.Errorf("family %s missing from /metrics", family)
@@ -68,20 +69,21 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	// The test cluster arms the lookup cache, so the ingest above must have
 	// driven live cache traffic into the exposition, not just the TYPE
-	// headers. hits + misses account every calculation lookup that reached
-	// the cache — at most the 640 ingested samples, less whatever the
-	// intra-batch dedup fold collapsed before the probe, and never zero.
-	cm := regexp.MustCompile(`ada_lookup_cache_(hits|misses)_total\{tenant="sq"\} (\d+)`)
-	total := 0
+	// headers. Every calculation lookup reaches the cache and is either
+	// probed (a hit or a miss) or forwarded while the cache stands aside, so
+	// hits + misses + bypassed account exactly the 640 ingested samples.
+	cm := regexp.MustCompile(`ada_lookup_cache_(hits|misses|bypassed)_total\{tenant="sq"\} (\d+)`)
+	total, series := 0, 0
 	for _, m := range cm.FindAllStringSubmatch(text, -1) {
 		v, err := strconv.Atoi(m[2])
 		if err != nil {
 			t.Fatalf("unparseable cache counter %q", m[0])
 		}
 		total += v
+		series++
 	}
-	if total == 0 || total > 640 {
-		t.Errorf("cache hits+misses = %d, want (0, 640] for 640 ingested lookups in:\n%s", total, text)
+	if series != 3 || total != 640 {
+		t.Errorf("cache hits+misses+bypassed = %d over %d series, want 640 over 3 in:\n%s", total, series, text)
 	}
 }
 

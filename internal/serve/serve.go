@@ -212,6 +212,7 @@ type tenantState struct {
 	cBatches, cLookups, cMisses, cDropped *Counter
 	cWrites, cDegradedRounds              *Counter
 	cCacheHits, cCacheMisses, cCacheInv   *Counter
+	cCacheBypassed                        *Counter
 	gErr, gDist                           *Gauge
 	cRounds, cSuppressed                  map[string]*Counter
 	cAudit                                map[string]*Counter
@@ -339,6 +340,8 @@ func (s *Server) Attach(name string) error {
 			"Calculation lookups forwarded to the TCAM search.", "tenant", name),
 		cCacheInv: m.Counter("ada_lookup_cache_invalidations_total",
 			"Wholesale cache resets on snapshot-generation changes.", "tenant", name),
+		cCacheBypassed: m.Counter("ada_lookup_cache_bypassed_total",
+			"Calculation lookups forwarded unprobed while the cache stood aside.", "tenant", name),
 		cDegradedRounds: m.Counter("ada_serve_degraded_rounds_total",
 			"Control rounds that came back degraded.", "tenant", name),
 		gErr:  m.Gauge("ada_serve_error_estimate", "Live mean relative error estimate.", "tenant", name),
@@ -484,6 +487,7 @@ func (s *Server) worker(sh *shard) {
 			b.ts.cCacheHits.Add(st.Hits - b.ts.cacheSeen.Hits)
 			b.ts.cCacheMisses.Add(st.Misses - b.ts.cacheSeen.Misses)
 			b.ts.cCacheInv.Add(st.Invalidations - b.ts.cacheSeen.Invalidations)
+			b.ts.cCacheBypassed.Add(st.Bypassed - b.ts.cacheSeen.Bypassed)
 			b.ts.cacheSeen = st
 		}
 		s.hBatch.Observe(time.Since(start).Seconds())

@@ -26,6 +26,15 @@
 // results — core's TestCachedMatchesUncached pins this across 500 rounds
 // of churn, faults, and crash/restart.
 //
+// A probe only pays when enough of the stream hits. The cache therefore
+// judges itself in trial windows of bypassWindow probed lookups: after a
+// window whose hit ratio is below bypassBreakEven it stands aside, forwarding
+// the next span·bypassWindow lookups straight to the store with no probe, no
+// fill and no generation check. span doubles after each losing window, up to
+// bypassMaxSpan, and resets to 1 after a winning one. The rule counts
+// lookups and reads no clock, so a given stream bypasses the same batches on
+// every machine.
+//
 // A LookupCache is caller-owned, like arith.Scratch: one per worker, no
 // locks on the read path, never shared by concurrent callers. The backing
 // store may be mutated concurrently — the generation check makes that safe.
@@ -56,14 +65,29 @@ var (
 	_ Snapshotter = (*TieredStore)(nil)
 )
 
-// CacheStats counts a LookupCache's traffic: Hits served from the cache,
-// Misses forwarded to the store, and Invalidations (wholesale resets on a
-// snapshot-generation change or a rebind to a different store).
+// CacheStats counts a LookupCache's traffic. Hits and Misses count the
+// lookups that probed: served from the cache, or forwarded to the store after
+// the probe missed. Bypassed counts the lookups forwarded without a probe
+// while the cache stood aside. Invalidations counts wholesale resets on a
+// snapshot-generation change or a rebind to a different store.
 type CacheStats struct {
 	Hits          uint64
 	Misses        uint64
+	Bypassed      uint64
 	Invalidations uint64
 }
+
+// The bypass rule (see the package comment). bypassBreakEven is h*, the hit
+// ratio at which a probed and a direct lookup cost the same: a cached sample
+// costs a probe p plus (1−h) store lookups of cost u, so the tie is h = p/u,
+// which arith's BenchmarkCachedEval put at 0.09–0.24 over Zipf s = 0.6–1.4
+// on a 2-vCPU Xeon (and at 0.28–0.43 in an earlier run). A window is judged
+// by hits < probed·bypassBreakEven.
+const (
+	bypassWindow    = 16384 // W: probed lookups per trial window
+	bypassBreakEven = 0.25  // h*
+	bypassMaxSpan   = 64    // cap on the windows one losing verdict bypasses
+)
 
 // cacheWays is the set associativity. Four ways packs a whole unary set —
 // keys, ordinals, and hit counters — into a single 64-byte cache line while
@@ -126,6 +150,13 @@ type LookupCache struct {
 
 	stats CacheStats
 
+	// Bypass state: the current trial window's probed lookups and hits, the
+	// span (in windows) the next losing verdict bypasses, and the lookups
+	// still to forward before probing resumes.
+	winLookups, winHits int
+	span                int
+	bypassLeft          int
+
 	// fallback scratch: the keys of one batch that missed the cache, their
 	// positions in the batch, the set base their probe already computed,
 	// and the store's ordinals for them.
@@ -149,7 +180,7 @@ const emptyKey = ^uint64(0)
 // pass-through.
 func NewLookupCache(store Store, entries int) *LookupCache {
 	widths := store.FieldWidths()
-	c := &LookupCache{store: store, arity: len(widths)}
+	c := &LookupCache{store: store, arity: len(widths), span: 1}
 	snap, ok := store.(Snapshotter)
 	if !ok || entries <= 0 || c.arity < 1 || c.arity > 2 {
 		return c
@@ -197,7 +228,7 @@ func (c *LookupCache) Len() int {
 	return len(c.ords)
 }
 
-// Stats returns the cumulative hit/miss/invalidation counters.
+// Stats returns the cumulative hit, miss, bypass and invalidation counters.
 func (c *LookupCache) Stats() CacheStats { return c.stats }
 
 // hash mixes a packed key tuple into a full-width hash. Fibonacci-style odd
@@ -317,6 +348,25 @@ func (c *LookupCache) insert(k0, k1 uint64, ord int32) {
 	c.hits[victim] = 0
 }
 
+// judge credits one probed batch of n lookups and hits hits to the trial
+// window and, once the window is full, decides whether the lookups after it
+// probe or bypass: a losing window bypasses span windows' worth and doubles
+// span up to bypassMaxSpan, a winning one resets span to 1.
+func (c *LookupCache) judge(hits, n int) {
+	c.winHits += hits
+	c.winLookups += n
+	if c.winLookups < bypassWindow {
+		return
+	}
+	if float64(c.winHits) < bypassBreakEven*float64(c.winLookups) {
+		c.bypassLeft = c.span * bypassWindow
+		c.span = min(2*c.span, bypassMaxSpan)
+	} else {
+		c.span = 1
+	}
+	c.winLookups, c.winHits = 0, 0
+}
+
 // LookupIndexBatch is the cached drop-in for Store.LookupIndexBatch: same
 // packed-key input, same dense-ordinal output, same ordinal/payload pairing
 // contract, bit-identical results. Keys whose ordinal is cached under the
@@ -325,13 +375,19 @@ func (c *LookupCache) insert(k0, k1 uint64, ord int32) {
 // the cache. If the snapshot generation moves mid-batch — a control round
 // committing under a concurrent reader — the whole batch re-resolves
 // uncached against one store snapshot, exactly what the uncached path would
-// have served.
+// have served. While the cache stands aside (see the package comment) the
+// batch goes straight to the store.
 func (c *LookupCache) LookupIndexBatch(flat []uint64, dst []int32) ([]int32, Payloads) {
 	if c.snap == nil {
 		return c.store.LookupIndexBatch(flat, dst)
 	}
 	arity := c.arity
 	n := len(flat) / arity
+	if c.bypassLeft > 0 {
+		c.bypassLeft -= n
+		c.stats.Bypassed += uint64(n)
+		return c.store.LookupIndexBatch(flat, dst)
+	}
 	if cap(dst) >= n {
 		dst = dst[:n]
 	} else {
@@ -502,6 +558,7 @@ func (c *LookupCache) LookupIndexBatch(flat []uint64, dst []int32) ([]int32, Pay
 	c.missPos = c.missPos[:nm]
 	c.stats.Hits += uint64(n - nm)
 	c.stats.Misses += uint64(nm)
+	c.judge(n-nm, n)
 	if nm == 0 {
 		return dst, pay
 	}

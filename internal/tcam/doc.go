@@ -22,8 +22,8 @@
 // and both tiers of a TieredStore compile their rows with the same
 // buildIndex (index.go), which picks a range set, a product grid, a trie,
 // or a linear scan per entry set; tenant slices translate keys and resolve
-// against their physical table. Table.LookupAll is the uncompiled reference
-// scan the differential tests compare every form against.
+// against their physical table. The differential tests compare every form
+// against LookupAll, an uncompiled reference scan that lives in the tests.
 //
 // # The generation/version contract
 //

@@ -625,25 +625,6 @@ func (t *Table) LookupSnapshot() (Payloads, uint64) {
 	return ix.payloads(), ix.version
 }
 
-// LookupAll returns every matching entry in resolution order. This is the
-// reference linear scan the compiled index is differentially tested against;
-// it deliberately bypasses the index and takes the table lock, so it is no
-// data-plane path.
-func (t *Table) LookupAll(keys ...uint64) []*Entry {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	if len(keys) != len(t.fieldWidths) {
-		return nil
-	}
-	var out []*Entry
-	for _, e := range t.ordered {
-		if matchAll(e.Fields, keys) {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
 func matchAll(fields []Field, keys []uint64) bool {
 	for i, f := range fields {
 		if !f.Matches(keys[i]) {

@@ -9,6 +9,24 @@ import (
 	"github.com/ada-repro/ada/internal/bitstr"
 )
 
+// LookupAll returns every matching entry in resolution order. This is the
+// reference linear scan the compiled index is differentially tested against;
+// it bypasses the index and takes the table lock.
+func (t *Table) LookupAll(keys ...uint64) []*Entry {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	if len(keys) != len(t.fieldWidths) {
+		return nil
+	}
+	var out []*Entry
+	for _, e := range t.ordered {
+		if matchAll(e.Fields, keys) {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
 func TestNewValidation(t *testing.T) {
 	if _, err := New("t", 4); err == nil {
 		t.Error("no fields: want error")
