@@ -186,13 +186,13 @@ type unaryTargetForBench struct {
 	engine *arith.UnaryEngine
 }
 
-func (t *unaryTargetForBench) Populate(tr *trie.Trie, budget int) (int, int, error) {
+func (t *unaryTargetForBench) Populate(tr *trie.Trie, budget int) (int, int, int, error) {
 	entries, err := population.ADAUnary(tr, arith.OpSquare.Func(), budget, population.Midpoint)
 	if err != nil {
-		return 0, 0, err
+		return 0, 0, 0, err
 	}
 	writes, err := t.engine.Reload(entries)
-	return writes, len(entries), err
+	return writes, len(entries), 0, err
 }
 
 // BenchmarkAblationWritePolicy compares delta reconciliation

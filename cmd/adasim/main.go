@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"github.com/ada-repro/ada/internal/apps"
+	"github.com/ada-repro/ada/internal/core"
 	"github.com/ada-repro/ada/internal/netsim"
 	"github.com/ada-repro/ada/internal/stats"
 )
@@ -107,7 +108,9 @@ func run(args []string) error {
 	case "nimble", "nimble-ada":
 		var a netsim.Arithmetic = netsim.IdealArith{}
 		if *app == "nimble-ada" {
-			ada, err := apps.NewADARateMultiplier(8, 20, 2, 12, 2)
+			rate := core.DefaultConfig(8)
+			rate.CalcEntries = 2 // × 76 sig-bits ΔT entries
+			ada, err := apps.NewADARateMultiplier(rate, 20, 2)
 			if err != nil {
 				return err
 			}

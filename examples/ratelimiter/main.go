@@ -17,6 +17,7 @@ import (
 	"log"
 
 	"github.com/ada-repro/ada/internal/apps"
+	"github.com/ada-repro/ada/internal/core"
 	"github.com/ada-repro/ada/internal/netsim"
 )
 
@@ -56,7 +57,11 @@ func run() error {
 		var mul netsim.Arithmetic = netsim.IdealArith{}
 		var ada *apps.ADARateMultiplier
 		if v.useADA {
-			a, err := apps.NewADARateMultiplier(8, 20, 2, 12, 2)
+			// 8-bit rate keys with 2 adaptive entries × 76 sig-bits ΔT
+			// entries of 20 bits.
+			rate := core.DefaultConfig(8)
+			rate.CalcEntries = 2
+			a, err := apps.NewADARateMultiplier(rate, 20, 2)
 			if err != nil {
 				return err
 			}

@@ -157,53 +157,6 @@ func (a *ADAArith) ScheduleSync(sim *netsim.Simulator, every netsim.Time) {
 	sim.After(every, tick)
 }
 
-// ADAUnaryMultiplier adapts a single adaptive unary system (monitoring only
-// the rate variable, as the Fig 8 testbed does) combined with exact ΔT
-// handling: result = table(rate) × ΔT where table(rate) is the adaptive
-// per-rate drain coefficient. It demonstrates the ADA(R) configuration.
-type ADAUnaryMultiplier struct {
-	sys *core.UnarySystem
-}
-
-// NewADAUnaryMultiplier builds the ADA(R) multiplier: the unary system
-// learns the rate distribution and serves identity lookups (coefficient =
-// rate), so all TCAM error concentrates on the monitored variable.
-func NewADAUnaryMultiplier(cfg core.Config) (*ADAUnaryMultiplier, error) {
-	sys, err := core.NewUnary(cfg, arith.OpDouble)
-	if err != nil {
-		return nil, err
-	}
-	return &ADAUnaryMultiplier{sys: sys}, nil
-}
-
-// Multiply implements netsim.Arithmetic: (table(2x)/2) × y.
-func (m *ADAUnaryMultiplier) Multiply(x, y uint64) uint64 {
-	w := m.sys.Engine().Width()
-	v, err := m.sys.Lookup(clampWidth(x, w))
-	if err != nil {
-		return 0
-	}
-	return (v / 2) * y
-}
-
-// Divide implements netsim.Arithmetic (exact; the ADA(R) deployment only
-// offloads the multiplication).
-func (m *ADAUnaryMultiplier) Divide(x, y uint64) uint64 {
-	if y == 0 {
-		return math.MaxUint64
-	}
-	return x / y
-}
-
-// Name implements netsim.Arithmetic.
-func (m *ADAUnaryMultiplier) Name() string { return "ada(R)" }
-
-// Sync runs one control round.
-func (m *ADAUnaryMultiplier) Sync() (core.SyncReport, error) { return m.sys.Sync() }
-
-// System exposes the underlying unary system.
-func (m *ADAUnaryMultiplier) System() *core.UnarySystem { return m.sys }
-
 func clampWidth(v uint64, width int) uint64 {
 	if width >= 64 {
 		return v
@@ -218,5 +171,4 @@ func clampWidth(v uint64, width int) uint64 {
 var (
 	_ netsim.Arithmetic = (*StaticTCAMArith)(nil)
 	_ netsim.Arithmetic = (*ADAArith)(nil)
-	_ netsim.Arithmetic = (*ADAUnaryMultiplier)(nil)
 )

@@ -108,40 +108,6 @@ func TestADAArithScheduleSync(t *testing.T) {
 	}
 }
 
-func TestADAUnaryMultiplier(t *testing.T) {
-	cfg := core.DefaultConfig(8)
-	cfg.CalcEntries = 64
-	m, err := NewADAUnaryMultiplier(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Name() == "" {
-		t.Error("name")
-	}
-	for round := 0; round < 10; round++ {
-		for i := 0; i < 200; i++ {
-			m.Multiply(24, 100)
-		}
-		if _, err := m.Sync(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got := m.Multiply(24, 100)
-	rel := arith.RelError(got, 2400)
-	if rel > 0.10 {
-		t.Errorf("ADA(R) Multiply(24,100) = %d, rel error %.3f", got, rel)
-	}
-	if m.Divide(100, 10) != 10 {
-		t.Error("ADA(R) divide must be exact")
-	}
-	if m.Divide(1, 0) == 0 {
-		t.Error("divide by zero must saturate")
-	}
-	if m.System() == nil {
-		t.Error("System accessor")
-	}
-}
-
 func TestClampWidth(t *testing.T) {
 	cases := []struct {
 		v     uint64

@@ -5,13 +5,10 @@ import (
 	"math"
 
 	"github.com/ada-repro/ada/internal/arith"
-	"github.com/ada-repro/ada/internal/bitstr"
 	"github.com/ada-repro/ada/internal/controlplane"
-	"github.com/ada-repro/ada/internal/monitor"
+	"github.com/ada-repro/ada/internal/core"
 	"github.com/ada-repro/ada/internal/netsim"
 	"github.com/ada-repro/ada/internal/population"
-	"github.com/ada-repro/ada/internal/tcam"
-	"github.com/ada-repro/ada/internal/trie"
 )
 
 // ADARateMultiplier is the paper's ADA(R) Nimble deployment (§V-B1: "we
@@ -19,118 +16,33 @@ import (
 // adaptive (monitored, Algorithm 2/3), while the ΔT marginal uses the
 // magnitude-logarithmic 0^p 1 (0|1)^s x^r population of [12], whose relative
 // error is uniform across all ΔT magnitudes. The joint table is the cross
-// product, so its size is rateBudget × sig-bits table size.
+// product, so its size is cfg.CalcEntries × sig-bits table size. It runs on a
+// core.CrossSystem, whose controller commits the table by delta and audits
+// it like any calculation table.
 type ADARateMultiplier struct {
-	ctl    *controlplane.Controller
-	engine *arith.BinaryEngine
+	sys    *core.CrossSystem
 	widthR int
 	widthT int
 }
 
-// rateMulTarget regenerates the joint table from the adaptive rate trie.
-// It keeps the rows of the last committed build so the controller's
-// read-back audit can diff the hardware against the expected population.
-type rateMulTarget struct {
-	engine        *arith.BinaryEngine
-	dtPrefixes    []bitstr.Prefix
-	rep           population.Representative
-	installed     []tcam.Row
-	haveInstalled bool
-}
-
-func (t *rateMulTarget) Populate(tr *trie.Trie, budget int) (int, int, error) {
-	xs, err := population.ADAAllocate(tr, budget)
-	if err != nil {
-		return 0, 0, err
-	}
-	entries := population.CrossEntries(arith.OpMul.Func(), xs, t.dtPrefixes, t.rep)
-	writes, err := t.engine.Reload(entries)
-	if err == nil {
-		rows := make([]tcam.Row, len(entries))
-		for i, e := range entries {
-			rows[i] = tcam.Row{
-				Fields: []tcam.Field{tcam.FieldFromPrefix(e.X), tcam.FieldFromPrefix(e.Y)},
-				Data:   e.Result,
-			}
-		}
-		t.installed = rows
-		t.haveInstalled = true
-	}
-	return writes, len(entries), err
-}
-
-// AuditCalc implements controlplane.AuditableTarget: read the joint table
-// back, classify divergence from the last committed build, and repair it
-// with the store's minimal anti-entropy delta when asked.
-func (t *rateMulTarget) AuditCalc(repair bool) (controlplane.AuditReport, error) {
-	if !t.haveInstalled {
-		return controlplane.AuditReport{}, nil
-	}
-	return controlplane.AuditStore(t.engine.Store(), t.installed, repair)
-}
-
-// RateMulOption tunes an ADARateMultiplier beyond the required parameters.
-type RateMulOption func(*controlplane.Config)
-
-// WithWrapDriver wraps the controller's switch driver — the seam for
-// internal/faults injection in the chaos experiments.
-func WithWrapDriver(wrap func(controlplane.Driver) controlplane.Driver) RateMulOption {
-	return func(cfg *controlplane.Config) { cfg.WrapDriver = wrap }
-}
-
-// WithRetryPolicy overrides the controller's driver retry policy.
-func WithRetryPolicy(p controlplane.RetryPolicy) RateMulOption {
-	return func(cfg *controlplane.Config) { cfg.Retry = p }
-}
-
-// WithUnhealthyAfter sets the consecutive failed rounds before degraded
-// mode (negative = never).
-func WithUnhealthyAfter(n int) RateMulOption {
-	return func(cfg *controlplane.Config) { cfg.UnhealthyAfter = n }
-}
-
-// WithAuditEvery enables the controller's periodic read-back audit of the
-// joint calculation table (see controlplane.Config.AuditEvery).
-func WithAuditEvery(n int) RateMulOption {
-	return func(cfg *controlplane.Config) { cfg.AuditEvery = n }
-}
-
 // NewADARateMultiplier builds the ADA(R) multiplier.
 //
-//   - widthR, widthT: operand widths of the rate and ΔT keys.
-//   - rateBudget: adaptive entries for the rate marginal.
-//   - monitorEntries: monitoring TCAM budget for the rate variable (the
-//     paper uses 12).
+//   - cfg: the rate variable's system: cfg.Width is the rate key width,
+//     cfg.CalcEntries the adaptive rate marginal's budget and
+//     cfg.MonitorEntries its monitoring budget (the paper uses 12).
+//   - widthT: the ΔT key width.
 //   - dtSigBits: significant bits of the static ΔT marginal; relative error
 //     is about ±2^-(dtSigBits+1) per lookup.
-func NewADARateMultiplier(widthR, widthT, rateBudget, monitorEntries, dtSigBits int, opts ...RateMulOption) (*ADARateMultiplier, error) {
+func NewADARateMultiplier(cfg core.Config, widthT, dtSigBits int) (*ADARateMultiplier, error) {
 	dtPrefixes, err := population.SigBitsPrefixes(widthT, dtSigBits)
 	if err != nil {
 		return nil, fmt.Errorf("apps: dt marginal: %w", err)
 	}
-	engine, err := arith.NewBinaryEngineWidths("ada(R).mul", widthR, widthT, 0, nil)
+	sys, err := core.NewCross(cfg, arith.OpMul, dtPrefixes)
 	if err != nil {
 		return nil, err
 	}
-	mon, err := monitor.New("ada(R).mon", widthR, 0)
-	if err != nil {
-		return nil, err
-	}
-	target := &rateMulTarget{engine: engine, dtPrefixes: dtPrefixes, rep: population.Midpoint}
-	cfg := controlplane.DefaultConfig(monitorEntries, rateBudget)
-	cfg.MaxMonitorEntries = 4 * monitorEntries
-	for _, o := range opts {
-		o(&cfg)
-	}
-	ctl, err := controlplane.New(cfg, mon, target)
-	if err != nil {
-		return nil, err
-	}
-	// Initial population from the uniform trie.
-	if _, _, err := target.Populate(ctl.Trie(), rateBudget); err != nil {
-		return nil, err
-	}
-	return &ADARateMultiplier{ctl: ctl, engine: engine, widthR: widthR, widthT: widthT}, nil
+	return &ADARateMultiplier{sys: sys, widthR: cfg.Width, widthT: widthT}, nil
 }
 
 // Multiply implements netsim.Arithmetic: the rate operand is monitored (the
@@ -139,8 +51,8 @@ func (m *ADARateMultiplier) Multiply(rate, dt uint64) uint64 {
 	if rate == 0 || dt == 0 {
 		return 0
 	}
-	m.ctl.Monitor().Observe(rate)
-	v, err := m.engine.Eval(clampWidth(rate, m.widthR), clampWidth(dt, m.widthT))
+	m.sys.Observe(rate)
+	v, err := m.sys.Engine().Eval(clampWidth(rate, m.widthR), clampWidth(dt, m.widthT))
 	if err != nil {
 		return 0
 	}
@@ -160,9 +72,9 @@ func (m *ADARateMultiplier) Divide(x, y uint64) uint64 {
 func (m *ADARateMultiplier) Name() string { return "ada(R)+sigbits(dT)" }
 
 // Sync runs one control round: read the rate registers, adapt the trie,
-// regenerate the joint table.
-func (m *ADARateMultiplier) Sync() (controlplane.RoundReport, error) {
-	return m.ctl.Round()
+// commit the joint table's changed rows.
+func (m *ADARateMultiplier) Sync() (core.SyncReport, error) {
+	return m.sys.Sync()
 }
 
 // ScheduleSync arranges periodic control rounds on the simulator.
@@ -177,9 +89,9 @@ func (m *ADARateMultiplier) ScheduleSync(sim *netsim.Simulator, every netsim.Tim
 }
 
 // Controller exposes the control-plane state (resource accounting).
-func (m *ADARateMultiplier) Controller() *controlplane.Controller { return m.ctl }
+func (m *ADARateMultiplier) Controller() *controlplane.Controller { return m.sys.Controller() }
 
 // Engine exposes the joint calculation engine.
-func (m *ADARateMultiplier) Engine() *arith.BinaryEngine { return m.engine }
+func (m *ADARateMultiplier) Engine() *arith.BinaryEngine { return m.sys.Engine() }
 
 var _ netsim.Arithmetic = (*ADARateMultiplier)(nil)

@@ -4,11 +4,20 @@ import (
 	"testing"
 
 	"github.com/ada-repro/ada/internal/arith"
+	"github.com/ada-repro/ada/internal/core"
 	"github.com/ada-repro/ada/internal/netsim"
 )
 
+// rateConfig is an 8-bit rate variable with 2 adaptive entries and 12
+// monitoring bins, as in the paper's Fig 8 deployment.
+func rateConfig() core.Config {
+	cfg := core.DefaultConfig(8)
+	cfg.CalcEntries = 2
+	return cfg
+}
+
 func TestADARateMultiplierBasics(t *testing.T) {
-	m, err := NewADARateMultiplier(8, 16, 2, 12, 2)
+	m, err := NewADARateMultiplier(rateConfig(), 16, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,25 +39,33 @@ func TestADARateMultiplierBasics(t *testing.T) {
 }
 
 func TestADARateMultiplierErrors(t *testing.T) {
-	if _, err := NewADARateMultiplier(0, 16, 2, 12, 2); err == nil {
+	bad := func(edit func(*core.Config)) core.Config {
+		cfg := rateConfig()
+		edit(&cfg)
+		return cfg
+	}
+	if _, err := NewADARateMultiplier(bad(func(c *core.Config) { c.Width = 0 }), 16, 2); err == nil {
 		t.Error("bad rate width: want error")
 	}
-	if _, err := NewADARateMultiplier(8, 0, 2, 12, 2); err == nil {
+	if _, err := NewADARateMultiplier(rateConfig(), 0, 2); err == nil {
 		t.Error("bad dt width: want error")
 	}
-	if _, err := NewADARateMultiplier(8, 16, 0, 12, 2); err == nil {
+	if _, err := NewADARateMultiplier(bad(func(c *core.Config) { c.CalcEntries = 0 }), 16, 2); err == nil {
 		t.Error("zero rate budget: want error")
 	}
-	if _, err := NewADARateMultiplier(8, 16, 2, 0, 2); err == nil {
+	if _, err := NewADARateMultiplier(bad(func(c *core.Config) { c.MonitorEntries = 0 }), 16, 2); err == nil {
 		t.Error("zero monitor budget: want error")
 	}
-	if _, err := NewADARateMultiplier(8, 16, 2, 12, -1); err == nil {
+	if _, err := NewADARateMultiplier(rateConfig(), 16, -1); err == nil {
 		t.Error("negative sig bits: want error")
+	}
+	if _, err := NewADARateMultiplier(bad(func(c *core.Config) { c.TieredTCAMEntries = 1 }), 16, 2); err == nil {
+		t.Error("tiered joint table: want error")
 	}
 }
 
 func TestADARateMultiplierAdaptsAcrossRateChange(t *testing.T) {
-	m, err := NewADARateMultiplier(8, 16, 2, 12, 3)
+	m, err := NewADARateMultiplier(rateConfig(), 16, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +103,7 @@ func TestADARateMultiplierAdaptsAcrossRateChange(t *testing.T) {
 }
 
 func TestADARateMultiplierScheduleSync(t *testing.T) {
-	m, err := NewADARateMultiplier(8, 16, 2, 12, 2)
+	m, err := NewADARateMultiplier(rateConfig(), 16, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

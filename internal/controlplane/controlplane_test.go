@@ -19,13 +19,13 @@ type engineTarget struct {
 	op     arith.UnaryOp
 }
 
-func (t *engineTarget) Populate(tr *trie.Trie, budget int) (int, int, error) {
+func (t *engineTarget) Populate(tr *trie.Trie, budget int) (int, int, int, error) {
 	entries, err := population.ADAUnary(tr, t.op.Func(), budget, population.Midpoint)
 	if err != nil {
-		return 0, 0, err
+		return 0, 0, 0, err
 	}
 	writes, err := t.engine.Reload(entries)
-	return writes, len(entries), err
+	return writes, len(entries), 0, err
 }
 
 func newSystem(t *testing.T, width, monBudget, calcBudget int) (*Controller, *arith.UnaryEngine) {

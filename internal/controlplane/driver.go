@@ -37,19 +37,20 @@ type Driver interface {
 	InstallMonitoring(prefixes []bitstr.Prefix) (int, error)
 	// PopulateCalc rebuilds the calculation population from the trie into a
 	// shadow generation and commits it atomically, returning TCAM writes
-	// and entries computed. On error the previous population remains
-	// installed in full.
+	// and entries computed: DeltaPopulator's populate without the reuse
+	// count. On error the previous population remains installed in full.
 	PopulateCalc(tr *trie.Trie, budget int) (writes, computed int, err error)
 }
 
 // DeltaPopulator is the optional incremental extension of Driver: a driver
 // that can reconcile the calculation population against its shadow copy,
 // emitting only the changed rows. The controller prefers this path when the
-// driver implements it; drivers that do not fall back to the full
-// PopulateCalc. computed and reused split the entries as DeltaTarget does:
-// a fresh Algorithm 3 build, or the last committed build served again
-// unevaluated. The end state must be identical to PopulateCalc's, and on
-// error the previous population must remain fully installed.
+// driver implements it; drivers that do not fall back to PopulateCalc.
+// computed and reused split the entries as Target.Populate does: a fresh
+// Algorithm 3 build, or the last committed build served again unevaluated.
+// The full-repopulation reference is core's Config.DisableIncremental, and
+// its end state must be identical. On error the previous population must
+// remain fully installed.
 type DeltaPopulator interface {
 	PopulateCalcDelta(tr *trie.Trie, budget int) (writes, computed, reused int, err error)
 }
@@ -139,26 +140,19 @@ func (d *DirectDriver) InstallMonitoring(prefixes []bitstr.Prefix) (int, error) 
 	return d.mon.Install(prefixes)
 }
 
-// PopulateCalc implements Driver.
+// PopulateCalc implements Driver: the target's Populate without the reuse
+// count.
 func (d *DirectDriver) PopulateCalc(tr *trie.Trie, budget int) (int, int, error) {
-	if d.target == nil {
-		return 0, 0, nil
-	}
-	return d.target.Populate(tr, budget)
+	writes, computed, _, err := d.PopulateCalcDelta(tr, budget)
+	return writes, computed, err
 }
 
-// PopulateCalcDelta implements DeltaPopulator: it forwards to the target's
-// incremental path when the target supports one and falls back to the full
-// repopulation (with zero reuse) otherwise.
+// PopulateCalcDelta implements DeltaPopulator by forwarding to the target.
 func (d *DirectDriver) PopulateCalcDelta(tr *trie.Trie, budget int) (int, int, int, error) {
 	if d.target == nil {
 		return 0, 0, 0, nil
 	}
-	if dt, ok := d.target.(DeltaTarget); ok {
-		return dt.PopulateDelta(tr, budget)
-	}
-	writes, computed, err := d.target.Populate(tr, budget)
-	return writes, computed, 0, err
+	return d.target.Populate(tr, budget)
 }
 
 // PlaceTiers implements TierPlacer by forwarding to the target when it can

@@ -323,7 +323,7 @@ func Recover(cfg Config, drv Driver, j *Journal) (*Controller, RecoveryReport, e
 }
 
 // populate commits the calculation population for tr through the driver,
-// preferring the delta path. The full path reuses nothing.
+// preferring DeltaPopulator; a driver without it reports no reuse.
 func (c *Controller) populate(tr *trie.Trie) (writes, computed, reused int, err error) {
 	if dp, ok := c.drv.(DeltaPopulator); ok {
 		return dp.PopulateCalcDelta(tr, c.cfg.CalcBudget)

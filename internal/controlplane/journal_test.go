@@ -33,21 +33,21 @@ type auditTarget struct {
 	failAudits int // fail the next N AuditCalc calls
 }
 
-func (t *auditTarget) Populate(tr *trie.Trie, budget int) (int, int, error) {
+func (t *auditTarget) Populate(tr *trie.Trie, budget int) (int, int, int, error) {
 	entries, err := population.ADAUnary(tr, t.op.Func(), budget, population.Midpoint)
 	if err != nil {
-		return 0, 0, err
+		return 0, 0, 0, err
 	}
 	writes, err := t.engine.Reload(entries)
 	if err != nil {
-		return writes, len(entries), err
+		return writes, len(entries), 0, err
 	}
 	rows := make([]tcam.Row, len(entries))
 	for i, e := range entries {
 		rows[i] = tcam.RowFromPrefix(e.P, e.Result)
 	}
 	t.expect = rows
-	return writes, len(entries), nil
+	return writes, len(entries), 0, nil
 }
 
 func (t *auditTarget) AuditCalc(repair bool) (AuditReport, error) {

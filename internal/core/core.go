@@ -6,10 +6,12 @@
 // A UnarySystem emulates a single-operand operation (x², 2x, √x, ...) for
 // one monitored variable — the paper's ADA(R) / ADA(ΔT) configurations. A
 // BinarySystem emulates a two-operand operation (x·y, x/y) with one monitor
-// per operand — ADA(ΔT, R). In both, the data plane calls Lookup on every
-// packet (monitor + calculation lookup at line rate) and the control plane
-// calls Sync periodically (register read → Algorithm 2 → Algorithm 3 →
-// table pushes).
+// per operand — ADA(ΔT, R). A CrossSystem monitors one operand of a
+// two-operand operation and crosses it with a fixed prefix marginal — the
+// Nimble deployment's adaptive rate × sig-bits ΔT table. In each, the data
+// plane monitors and looks up on every packet (monitor + calculation lookup
+// at line rate) and the control plane calls Sync periodically (register
+// read → Algorithm 2 → Algorithm 3 → table pushes).
 package core
 
 import (
@@ -78,10 +80,10 @@ type Config struct {
 	// hook internal/faults uses to inject failures at the wire boundary.
 	WrapDriver func(controlplane.Driver) controlplane.Driver
 	// DisableIncremental forces full repopulation every round: the
-	// calculation target hides its incremental path, so the controller falls
-	// back to PopulateCalc and Algorithm 3 runs from scratch. The end state
-	// is identical either way (the differential tests prove it); this exists
-	// for A/B benchmarking and as an escape hatch.
+	// calculation target's shadow runs Algorithm 3 from scratch and reloads
+	// the whole table, reusing nothing. The end state is identical either
+	// way (the differential tests prove it); this exists for A/B
+	// benchmarking and as an escape hatch.
 	DisableIncremental bool
 	// EWMADecay selects the exponential hit-decay ablation in the
 	// controller (see controlplane.Config.EWMADecay).
@@ -279,14 +281,18 @@ func (r *SyncReport) add(rep controlplane.RoundReport) {
 // builds afresh and commits in proportion to churn. The record also tells a
 // read-back audit which rows the table must hold. E is the population's
 // entry type and K its match key: a prefix for a unary table, an (x, y)
-// prefix pair for the joint one. Builds arrive strictly increasing under
-// cmp (ADAUnary's and ADABinary's contract), so two builds diff in one
-// merge pass.
+// prefix pair for a joint one. Builds arrive strictly increasing under cmp
+// (ADAUnary's, ADABinary's and CrossEntries' contract), so two builds diff
+// in one merge pass.
 type shadow[E any, K comparable] struct {
 	store tcam.Store
 	key   func(E) (K, uint64) // an entry's match key and result
 	row   func(k K, data any) tcam.Row
 	cmp   func(a, b K) int // the builds' strict order
+	// full makes every round build and reload the whole table, reusing
+	// nothing (Config.DisableIncremental). The record is still kept, so
+	// audits check rows exactly as on the incremental path.
+	full bool
 
 	installed []E
 	seq       [2]uint64
@@ -295,14 +301,15 @@ type shadow[E any, K comparable] struct {
 	version   uint64
 }
 
-// populate is the incremental Algorithm 3 step. When the record matches the
-// tries' change-sequences and the budget, the recorded build is exactly what
-// Algorithm 3 would return, so nothing is built or evaluated: the store is
-// left alone, or reloaded from the record when another writer or a rollback
-// moved its version, and every entry counts as reused. Otherwise build runs,
-// every entry counts as computed, and the build commits against the record.
+// populate is the Algorithm 3 step of every calculation target. When the
+// record matches the tries' change-sequences and the budget, the recorded
+// build is exactly what Algorithm 3 would return, so nothing is built or
+// evaluated: the store is left alone, or reloaded from the record when
+// another writer or a rollback moved its version, and every entry counts as
+// reused. Otherwise, and on every round when full is set, build runs, every
+// entry counts as computed, and the build commits against the record.
 func (s *shadow[E, K]) populate(seq [2]uint64, budget int, build func() ([]E, error)) (writes, computed, reused int, err error) {
-	if s.have && s.seq == seq && s.budget == budget {
+	if !s.full && s.have && s.seq == seq && s.budget == budget {
 		if s.store.Version() != s.version {
 			writes, err = s.reload(s.installed, seq, budget)
 		}
@@ -317,8 +324,6 @@ func (s *shadow[E, K]) populate(seq [2]uint64, budget int, build func() ([]E, er
 }
 
 // reload installs entries as one transactional full reload and records them.
-// Recording on the full path too lets audits check rows from the very first
-// install.
 func (s *shadow[E, K]) reload(entries []E, seq [2]uint64, budget int) (int, error) {
 	writes, err := s.store.ApplyRowsAtomic(s.rows(entries))
 	if err != nil {
@@ -338,11 +343,11 @@ func (s *shadow[E, K]) rows(entries []E) []tcam.Row {
 }
 
 // commit installs a build with the fewest writes the record allows: a full
-// reload when the record cannot be trusted (nothing recorded yet, or another
-// writer or a rollback moved the store's version), and otherwise the changed
-// and stale rows as one transactional delta.
+// reload in full mode or when the record cannot be trusted (nothing
+// recorded yet, or another writer or a rollback moved the store's version),
+// and otherwise the changed and stale rows as one transactional delta.
 func (s *shadow[E, K]) commit(entries []E, seq [2]uint64, budget int) (int, error) {
-	if !s.have || s.store.Version() != s.version {
+	if s.full || !s.have || s.store.Version() != s.version {
 		return s.reload(entries, seq, budget)
 	}
 	upserts, deletes := s.diff(entries)
@@ -425,46 +430,31 @@ func (s *shadow[E, K]) AuditCalc(repair bool) (controlplane.AuditReport, error) 
 }
 
 // unaryTarget adapts a unary calculation store to the controller: the shadow
-// record makes PopulateDelta's work proportional to churn instead of budget.
+// record makes Populate's work proportional to churn instead of budget.
 type unaryTarget struct {
 	shadow[population.UnaryEntry, bitstr.Prefix]
 	op  arith.UnaryOp
 	rep population.Representative
 }
 
-func newUnaryTarget(engine *arith.UnaryEngine, op arith.UnaryOp, rep population.Representative) *unaryTarget {
+func newUnaryTarget(engine *arith.UnaryEngine, op arith.UnaryOp, cfg Config) *unaryTarget {
 	return &unaryTarget{
 		shadow: shadow[population.UnaryEntry, bitstr.Prefix]{
 			store: engine.Store(),
 			key:   func(e population.UnaryEntry) (bitstr.Prefix, uint64) { return e.P, e.Result },
 			row:   tcam.RowFromPrefix,
 			cmp:   bitstr.Prefix.Compare,
+			full:  cfg.DisableIncremental,
 		},
-		op: op, rep: rep,
+		op: op, rep: cfg.Representative,
 	}
 }
 
-// build runs Algorithm 3 on tr.
-func (t *unaryTarget) build(tr *trie.Trie, budget int) ([]population.UnaryEntry, error) {
-	return population.ADAUnary(tr, t.op.Func(), budget, t.rep)
-}
-
-// Populate implements controlplane.Target: Algorithm 3 from scratch and a
-// full transactional reload.
-func (t *unaryTarget) Populate(tr *trie.Trie, budget int) (int, int, error) {
-	entries, err := t.build(tr, budget)
-	if err != nil {
-		return 0, 0, err
-	}
-	writes, err := t.reload(entries, [2]uint64{tr.ChangeSeq()}, budget)
-	return writes, len(entries), err
-}
-
-// PopulateDelta implements controlplane.DeltaTarget through the shadow (see
-// shadow.populate).
-func (t *unaryTarget) PopulateDelta(tr *trie.Trie, budget int) (int, int, int, error) {
+// Populate implements controlplane.Target: Algorithm 3 on tr through the
+// shadow (see shadow.populate).
+func (t *unaryTarget) Populate(tr *trie.Trie, budget int) (int, int, int, error) {
 	return t.populate([2]uint64{tr.ChangeSeq()}, budget, func() ([]population.UnaryEntry, error) {
-		return t.build(tr, budget)
+		return population.ADAUnary(tr, t.op.Func(), budget, t.rep)
 	})
 }
 
@@ -472,6 +462,27 @@ func (t *unaryTarget) PopulateDelta(tr *trie.Trie, budget int) (int, int, int, e
 // registers (see placeTiers).
 func (t *unaryTarget) PlaceTiers(tr *trie.Trie) (controlplane.TierMoves, bool, error) {
 	return placeTiers(t.store, tr)
+}
+
+// binaryPair is the match key of one joint-table entry.
+type binaryPair struct {
+	x, y bitstr.Prefix
+}
+
+// jointShadow is the shadow of a two-field joint table over store, ordered
+// x-major as the joint builds are.
+func jointShadow(store tcam.Store, cfg Config) shadow[population.BinaryEntry, binaryPair] {
+	return shadow[population.BinaryEntry, binaryPair]{
+		store: store,
+		key: func(e population.BinaryEntry) (binaryPair, uint64) {
+			return binaryPair{x: e.X, y: e.Y}, e.Result
+		},
+		row: func(pr binaryPair, data any) tcam.Row {
+			return tcam.Row{Fields: []tcam.Field{tcam.FieldFromPrefix(pr.x), tcam.FieldFromPrefix(pr.y)}, Data: data}
+		},
+		cmp:  func(a, b binaryPair) int { return cmp.Or(a.x.Compare(b.x), a.y.Compare(b.y)) },
+		full: cfg.DisableIncremental,
+	}
 }
 
 // jointTarget is a binary system's joint calculation table (Table II's
@@ -486,52 +497,12 @@ type jointTarget struct {
 	rep population.Representative
 }
 
-// binaryPair is the match key of one joint-table entry.
-type binaryPair struct {
-	x, y bitstr.Prefix
-}
-
-func newJointTarget(engine *arith.BinaryEngine, x *controlplane.Controller, op arith.BinaryOp, rep population.Representative) *jointTarget {
-	return &jointTarget{
-		shadow: shadow[population.BinaryEntry, binaryPair]{
-			store: engine.Store(),
-			key: func(e population.BinaryEntry) (binaryPair, uint64) {
-				return binaryPair{x: e.X, y: e.Y}, e.Result
-			},
-			row: func(pr binaryPair, data any) tcam.Row {
-				return tcam.Row{Fields: []tcam.Field{tcam.FieldFromPrefix(pr.x), tcam.FieldFromPrefix(pr.y)}, Data: data}
-			},
-			cmp: func(a, b binaryPair) int { return cmp.Or(a.x.Compare(b.x), a.y.Compare(b.y)) },
-		},
-		x: x, op: op, rep: rep,
-	}
-}
-
-// build runs the joint Algorithm 3 on x's committed trie and ty.
-func (t *jointTarget) build(ty *trie.Trie, budget int) ([]population.BinaryEntry, error) {
-	return population.ADABinary(t.x.Trie(), ty, t.op.Func(), budget, t.rep)
-}
-
-// seqs is the shadow key of a joint build: both operand tries' ChangeSeqs.
-func (t *jointTarget) seqs(ty *trie.Trie) [2]uint64 {
-	return [2]uint64{t.x.Trie().ChangeSeq(), ty.ChangeSeq()}
-}
-
-// Populate implements controlplane.Target (see unaryTarget.Populate).
-func (t *jointTarget) Populate(ty *trie.Trie, budget int) (int, int, error) {
-	entries, err := t.build(ty, budget)
-	if err != nil {
-		return 0, 0, err
-	}
-	writes, err := t.reload(entries, t.seqs(ty), budget)
-	return writes, len(entries), err
-}
-
-// PopulateDelta implements controlplane.DeltaTarget (see
-// unaryTarget.PopulateDelta).
-func (t *jointTarget) PopulateDelta(ty *trie.Trie, budget int) (int, int, int, error) {
-	return t.populate(t.seqs(ty), budget, func() ([]population.BinaryEntry, error) {
-		return t.build(ty, budget)
+// Populate implements controlplane.Target: the joint Algorithm 3 on x's
+// committed trie and ty, keyed on both tries' change-sequences.
+func (t *jointTarget) Populate(ty *trie.Trie, budget int) (int, int, int, error) {
+	tx := t.x.Trie()
+	return t.populate([2]uint64{tx.ChangeSeq(), ty.ChangeSeq()}, budget, func() ([]population.BinaryEntry, error) {
+		return population.ADABinary(tx, ty, t.op.Func(), budget, t.rep)
 	})
 }
 
@@ -541,43 +512,61 @@ func (t *jointTarget) PlaceTiers(ty *trie.Trie) (controlplane.TierMoves, bool, e
 	return placeTiers(t.store, t.x.Trie(), ty)
 }
 
-// calcTarget is a calculation target with the audit and tier-placement
-// seams: what plainTarget lets through its veil.
-type calcTarget interface {
-	controlplane.Target
-	controlplane.AuditableTarget
-	controlplane.TierPlacer
+// crossTarget is a CrossSystem's joint table as x's controller target: x's
+// Algorithm 3 allocation crossed with the fixed y marginal. ys never moves,
+// so x's change-sequence and the budget key the shadow alone.
+type crossTarget struct {
+	shadow[population.BinaryEntry, binaryPair]
+	ys  []bitstr.Prefix
+	op  arith.BinaryOp
+	rep population.Representative
 }
 
-// plainTarget hides a target's incremental path (Config.DisableIncremental):
-// the driver's DeltaTarget assertion fails and every round repopulates in
-// full. Audits and tier placement pass through — the veil hides delta
-// population, not crash-safety or the tiered store.
-type plainTarget struct{ calcTarget }
-
-// veil returns target as a controller should see it: behind plainTarget
-// when Config.DisableIncremental is set.
-func (c Config) veil(target calcTarget) controlplane.Target {
-	if c.DisableIncremental {
-		return plainTarget{target}
-	}
-	return target
+// Populate implements controlplane.Target. ADAAllocate's prefixes and ys
+// are both disjoint and ascending, so their x-major cross product is
+// strictly increasing under the joint order, as the shadow's merge needs.
+func (t *crossTarget) Populate(tx *trie.Trie, budget int) (int, int, int, error) {
+	return t.populate([2]uint64{tx.ChangeSeq()}, budget, func() ([]population.BinaryEntry, error) {
+		xs, err := population.ADAAllocate(tx, budget)
+		if err != nil {
+			return nil, err
+		}
+		return population.CrossEntries(t.op.Func(), xs, t.ys, t.rep), nil
+	})
 }
 
 // controller builds one monitored variable's controller over target (nil
-// for a variable that owns no calculation table), with its own journal.
+// for a variable that owns no calculation table), with its own journal, and
+// installs target's initial population from the uniform trie, so lookups
+// work before the first Sync.
 func (c Config) controller(mon *monitor.Monitor, target controlplane.Target) (*controlplane.Controller, error) {
 	ccfg := c.controllerConfig()
 	ccfg.Journal = c.journalFor()
-	return controlplane.New(ccfg, mon, target)
+	ctl, err := controlplane.New(ccfg, mon, target)
+	if err != nil || target == nil {
+		return ctl, err
+	}
+	_, _, _, err = target.Populate(ctl.Trie(), c.CalcEntries)
+	return ctl, err
+}
+
+// runRound runs one controller round as a system's SyncReport.
+func runRound(ctx context.Context, ctl *controlplane.Controller) (SyncReport, error) {
+	rep, err := ctl.RoundCtx(ctx)
+	if err != nil {
+		return SyncReport{}, err
+	}
+	var out SyncReport
+	out.add(rep)
+	return out, nil
 }
 
 var (
-	_ controlplane.DeltaTarget = (*unaryTarget)(nil)
-	_ controlplane.DeltaTarget = (*jointTarget)(nil)
-	_ calcTarget               = (*unaryTarget)(nil)
-	_ calcTarget               = (*jointTarget)(nil)
-	_ calcTarget               = plainTarget{}
+	_ controlplane.AuditableTarget = (*unaryTarget)(nil)
+	_ controlplane.AuditableTarget = (*jointTarget)(nil)
+	_ controlplane.AuditableTarget = (*crossTarget)(nil)
+	_ controlplane.TierPlacer      = (*unaryTarget)(nil)
+	_ controlplane.TierPlacer      = (*jointTarget)(nil)
 )
 
 // UnarySystem is ADA deployed for a single-operand operation.
@@ -625,17 +614,12 @@ func newUnaryOn(name string, cfg Config, op arith.UnaryOp, engine *arith.UnaryEn
 	if err != nil {
 		return nil, err
 	}
-	target := newUnaryTarget(engine, op, cfg.Representative)
-	ctl, err := cfg.controller(mon, cfg.veil(target))
+	ctl, err := cfg.controller(mon, newUnaryTarget(engine, op, cfg))
 	if err != nil {
 		return nil, err
 	}
-	// Initial population from the uniform trie: equal entries everywhere.
-	if _, _, err := target.Populate(ctl.Trie(), cfg.CalcEntries); err != nil {
-		return nil, err
-	}
 	// The construction-time populate is not part of any round; drop its spill
-	// accounting the same way its TCAM write count is dropped above.
+	// accounting the same way controller drops its TCAM write count.
 	if ts, ok := engine.Store().(*tcam.TieredStore); ok {
 		ts.TakeSRAMWrites()
 	}
@@ -685,13 +669,7 @@ func (s *UnarySystem) Sync() (SyncReport, error) {
 // between driver operations (including retry backoff), and the report comes
 // back Degraded with reason "cancelled".
 func (s *UnarySystem) SyncCtx(ctx context.Context) (SyncReport, error) {
-	rep, err := s.ctl.RoundCtx(ctx)
-	if err != nil {
-		return SyncReport{}, err
-	}
-	var out SyncReport
-	out.add(rep)
-	return out, nil
+	return runRound(ctx, s.ctl)
 }
 
 // Restart models a controller crash and restart: the data plane (monitor
@@ -712,8 +690,8 @@ func (s *UnarySystem) Restart() (controlplane.RecoveryReport, error) {
 	if mon == nil {
 		return controlplane.RecoveryReport{}, fmt.Errorf("%w: Restart requires an in-process monitor", ErrConfig)
 	}
-	target := newUnaryTarget(s.engine, s.op, s.cfg.Representative)
-	ctl, rrep, err := controlplane.Recover(s.cfg.controllerConfig(), controlplane.NewDirectDriver(mon, s.cfg.veil(target)), j)
+	target := newUnaryTarget(s.engine, s.op, s.cfg)
+	ctl, rrep, err := controlplane.Recover(s.cfg.controllerConfig(), controlplane.NewDirectDriver(mon, target), j)
 	if err != nil {
 		return rrep, err
 	}
@@ -818,13 +796,9 @@ func newBinaryOn(name string, cfg Config, op arith.BinaryOp, engine *arith.Binar
 	if err != nil {
 		return nil, err
 	}
-	target := newJointTarget(engine, ctlX, op, cfg.Representative)
-	ctlY, err := cfg.controller(monY, cfg.veil(target))
+	target := &jointTarget{shadow: jointShadow(engine.Store(), cfg), x: ctlX, op: op, rep: cfg.Representative}
+	ctlY, err := cfg.controller(monY, target)
 	if err != nil {
-		return nil, err
-	}
-	// Initial population from the uniform tries.
-	if _, _, err := target.Populate(ctlY.Trie(), cfg.CalcEntries); err != nil {
 		return nil, err
 	}
 	// Construction-time spills are not round work (see newUnaryOn).
@@ -927,3 +901,67 @@ func (s *BinarySystem) Pipeline(name string) (*pisa.Pipeline, error) {
 		{Name: "y", Monitoring: s.ctlY.Monitor().Table(), Bins: s.ctlY.Monitor().NumBins()},
 	}, s.engine.Table())
 }
+
+// CrossSystem is ADA deployed for a two-operand operation whose y marginal
+// is a fixed prefix list: the paper's ADA(R) Nimble deployment (§V-B1),
+// which monitors only the rate and crosses its adaptive marginal with a
+// static sig-bits ΔT marginal. Its one controller adapts x and owns the
+// joint table CrossEntries(op, ADAAllocate(x's trie, budget), ys, rep),
+// committing it by delta through the shadow and auditing it against that
+// record like any calculation table.
+type CrossSystem struct {
+	engine *arith.BinaryEngine
+	ctl    *controlplane.Controller
+}
+
+// NewCross builds the system and installs the initial uniform population.
+// cfg.Width and cfg.CalcEntries are x's width and Algorithm 3 budget, so the
+// joint table holds CalcEntries × len(ys) rows on a private, unbounded
+// table; CalcCapacity and TieredTCAMEntries must be 0. y's width comes from
+// ys, which must be disjoint and ascending, as population.SigBitsPrefixes
+// returns them.
+func NewCross(cfg Config, op arith.BinaryOp, ys []bitstr.Prefix) (*CrossSystem, error) {
+	if err := cfg.normalise(); err != nil {
+		return nil, err
+	}
+	if cfg.CalcCapacity != 0 || cfg.TieredTCAMEntries != 0 {
+		return nil, fmt.Errorf("%w: a cross system's joint table is private and unbounded", ErrConfig)
+	}
+	if len(ys) == 0 {
+		return nil, fmt.Errorf("%w: empty y marginal", ErrConfig)
+	}
+	for i := 1; i < len(ys); i++ {
+		if ys[i].Width() != ys[0].Width() || ys[i-1].Hi() >= ys[i].Lo() {
+			return nil, fmt.Errorf("%w: y marginal not disjoint and ascending at %v", ErrConfig, ys[i])
+		}
+	}
+	name := fmt.Sprintf("ada.%v", op)
+	engine, err := arith.NewBinaryEngineWidths(name+".calc", cfg.Width, ys[0].Width(), 0, nil)
+	if err != nil {
+		return nil, err
+	}
+	mon, err := monitor.New(name+".mon", cfg.Width, cfg.MaxMonitorEntries)
+	if err != nil {
+		return nil, err
+	}
+	target := &crossTarget{shadow: jointShadow(engine.Store(), cfg), ys: ys, op: op, rep: cfg.Representative}
+	ctl, err := cfg.controller(mon, target)
+	if err != nil {
+		return nil, err
+	}
+	return &CrossSystem{engine: engine, ctl: ctl}, nil
+}
+
+// Observe feeds one x value to the monitoring pipeline.
+func (s *CrossSystem) Observe(x uint64) { s.ctl.Monitor().Observe(x) }
+
+// Sync runs one control round (see UnarySystem.Sync).
+func (s *CrossSystem) Sync() (SyncReport, error) {
+	return runRound(context.Background(), s.ctl)
+}
+
+// Engine exposes the joint calculation engine.
+func (s *CrossSystem) Engine() *arith.BinaryEngine { return s.engine }
+
+// Controller exposes x's control-plane state.
+func (s *CrossSystem) Controller() *controlplane.Controller { return s.ctl }

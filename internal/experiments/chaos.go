@@ -106,15 +106,14 @@ func RunFig8Chaos(cfg ChaosConfig) (ChaosReport, error) {
 	net := topo.Net
 	sim := net.Sim
 
-	opts := []apps.RateMulOption{apps.WithWrapDriver(inj.Wrap)}
-	if cfg.AuditEvery > 0 {
-		opts = append(opts, apps.WithAuditEvery(cfg.AuditEvery))
-	}
-	ada, err := apps.NewADARateMultiplier(8, 20, 2, fc.MonitorEntries, 2, opts...)
+	rcfg := adaRConfig(fc.MonitorEntries)
+	rcfg.WrapDriver = inj.Wrap
+	rcfg.AuditEvery = cfg.AuditEvery
+	ada, err := apps.NewADARateMultiplier(rcfg, 20, 2)
 	if err != nil {
 		return ChaosReport{}, err
 	}
-	// Row-level faults on the joint calculation table: reloads must commit
+	// Row-level faults on the joint calculation table: commits must land
 	// atomically even when individual row writes fail.
 	inj.AttachTable(ada.Engine().Table())
 
@@ -190,9 +189,9 @@ func RunFig8Chaos(cfg ChaosConfig) (ChaosReport, error) {
 			rep.WentUnhealthy = true
 		}
 		// Tamper after the round commits: the silent divergence then lives
-		// through the whole inter-sync window (served to the data plane) and
-		// the next round's step-0 audit is what catches it — tampering
-		// before the populate would let the full reload heal it unobserved.
+		// through the whole inter-sync window (served to the data plane),
+		// and only a read-back audit repairs it — the populate commits the
+		// rows its build changed against the shadow, never the whole table.
 		if cfg.TamperEvery > 0 && rep.Rounds%cfg.TamperEvery == 0 {
 			if _, terr := inj.TamperStore(calc); terr != nil {
 				rep.InvariantViolations = append(rep.InvariantViolations, fmt.Sprintf(

@@ -96,8 +96,8 @@ func TestChaosFig8SilentFaultsHealViaAudits(t *testing.T) {
 	if rep.AuditMismatches == 0 {
 		t.Error("audits saw no mismatches despite tampering")
 	}
-	// rateMulTarget reloads the whole joint table every round, which heals
-	// tampering by itself; only repair writes show the audits did it.
+	// The joint table commits by delta against its shadow, so only an
+	// audit's repair writes heal tampered rows; require that they happened.
 	if rep.RepairWrites == 0 {
 		t.Error("audits issued no repair writes")
 	}

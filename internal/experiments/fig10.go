@@ -138,7 +138,7 @@ func runFig10Cell(cfg Fig10Config, load float64, scheme Fig10Scheme) (netsim.FCT
 		if scheme == Fig10NimbleADA {
 			// The ADA(R) Nimble deployment: adaptive rate marginal plus a
 			// sig-bits ΔT marginal wide enough for millisecond gaps.
-			ada, err := apps.NewADARateMultiplier(8, 20, 2, 12, 2)
+			ada, err := apps.NewADARateMultiplier(adaRConfig(12), 20, 2)
 			if err != nil {
 				return netsim.FCTStats{}, err
 			}

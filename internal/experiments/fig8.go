@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"github.com/ada-repro/ada/internal/apps"
+	"github.com/ada-repro/ada/internal/core"
 	"github.com/ada-repro/ada/internal/netsim"
 	"github.com/ada-repro/ada/internal/stats"
 )
@@ -94,6 +95,16 @@ func RunFig8(cfg Fig8Config) ([]Fig8Row, error) {
 	return rows, nil
 }
 
+// adaRConfig is the ADA(R) rate variable of Fig 8 and Fig 10: 8-bit rate
+// keys with 2 adaptive entries, crossed with the 76-entry sig-bits ΔT
+// marginal.
+func adaRConfig(monitorEntries int) core.Config {
+	cfg := core.DefaultConfig(8)
+	cfg.MonitorEntries = monitorEntries
+	cfg.CalcEntries = 2
+	return cfg
+}
+
 func runFig8Variant(cfg Fig8Config, variant Fig8Variant) (Fig8Row, error) {
 	topo := netsim.BuildStar(netsim.StarConfig{
 		Hosts:       2,
@@ -115,7 +126,7 @@ func runFig8Variant(cfg Fig8Config, variant Fig8Variant) (Fig8Row, error) {
 		// entries ≈ the paper's 128-entry multiplication table.
 		// ΔT key width 20 bits (≈1 ms): beyond that a gap fully drains the
 		// 400 KB bucket at any plausible rate, so clamping is harmless.
-		a, err := apps.NewADARateMultiplier(8, 20, 2, cfg.MonitorEntries, 2)
+		a, err := apps.NewADARateMultiplier(adaRConfig(cfg.MonitorEntries), 20, 2)
 		if err != nil {
 			return Fig8Row{}, err
 		}

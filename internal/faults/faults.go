@@ -494,35 +494,18 @@ func (d *Driver) InstallMonitoring(prefixes []bitstr.Prefix) (int, error) {
 	return n, nil
 }
 
-// PopulateCalc implements controlplane.Driver with transient write and
-// capacity-pressure faults.
+// PopulateCalc implements controlplane.Driver: PopulateCalcDelta's faults
+// and result without the reuse count.
 func (d *Driver) PopulateCalc(tr *trie.Trie, budget int) (int, int, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if err := d.in.opStart(d); err != nil {
-		return 0, 0, err
-	}
-	if d.in.roll(d.in.prof.WriteFailure, &d.in.stats.WriteFailures) {
-		return 0, 0, fmt.Errorf("%w: calc populate", ErrInjected)
-	}
-	if d.in.roll(d.in.prof.CapacityPressure, &d.in.stats.PressureFailures) {
-		return 0, 0, ErrPressure
-	}
-	w, comp, err := d.inner.PopulateCalc(tr, budget)
-	if err != nil {
-		return 0, 0, err
-	}
-	if d.in.roll(d.in.prof.AckDrop, &d.in.stats.AckDrops) {
-		return 0, 0, fmt.Errorf("%w: calc populate", ErrAckDropped)
-	}
-	return w, comp, nil
+	writes, computed, _, err := d.PopulateCalcDelta(tr, budget)
+	return writes, computed, err
 }
 
-// PopulateCalcDelta implements controlplane.DeltaPopulator with the same
-// fault rolls as PopulateCalc — an injected failure fires before the inner
-// driver either way, so the delta path degrades exactly like the full one.
-// When the wrapped driver has no incremental path, the fall back is the full
-// PopulateCalc with zero reuse.
+// PopulateCalcDelta implements controlplane.DeltaPopulator with transient
+// write, capacity-pressure and dropped-ack faults. An injected failure fires
+// before the inner driver, so the previous population stays installed;
+// a dropped ack fires after it. When the wrapped driver has no incremental
+// path, the fall back is its PopulateCalc with zero reuse.
 func (d *Driver) PopulateCalcDelta(tr *trie.Trie, budget int) (int, int, int, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()

@@ -181,7 +181,9 @@ func TestTamperStoreSilentRowFaults(t *testing.T) {
 // fakeAuditTarget scripts the target-side audit result.
 type fakeAuditTarget struct{ rep controlplane.AuditReport }
 
-func (f *fakeAuditTarget) Populate(tr *trie.Trie, budget int) (int, int, error) { return 0, 0, nil }
+func (f *fakeAuditTarget) Populate(tr *trie.Trie, budget int) (int, int, int, error) {
+	return 0, 0, 0, nil
+}
 func (f *fakeAuditTarget) AuditCalc(repair bool) (controlplane.AuditReport, error) {
 	return f.rep, nil
 }

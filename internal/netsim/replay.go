@@ -52,9 +52,12 @@ func Replay(workers, n int, fn func(worker, lo, hi int)) {
 // per-shard batches in buffers owned by that (worker, shard) pair — flushed
 // to fn whenever one reaches batchSize and at end of stream. The buffers
 // live on the ShardedReplay and are reused across Replay calls, so the
-// steady-state fan-out path allocates nothing; fn receives batches for
-// distinct workers concurrently and must tolerate that (distinct shards may
-// also arrive concurrently — from distinct workers).
+// steady-state fan-out allocates nothing per sample: a one-worker call
+// allocates nothing at all, and a multi-worker call makes a fixed
+// 2·workers+2 allocations (Go 1.24) for Replay's goroutine fan-out,
+// whatever the stream's length. fn receives batches for distinct workers
+// concurrently and must tolerate that (distinct shards may also arrive
+// concurrently — from distinct workers).
 type ShardedReplay struct {
 	shards    int
 	batchSize int

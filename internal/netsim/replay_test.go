@@ -53,3 +53,29 @@ func TestReplayWorkerShards(t *testing.T) {
 		}
 	}
 }
+
+// TestShardedReplayAllocs pins where ShardedReplay allocates: never per
+// sample. A one-worker call allocates nothing, and a multi-worker call pays
+// only its goroutine fan-out, a fixed count that does not grow with the
+// stream.
+func TestShardedReplayAllocs(t *testing.T) {
+	route := func(v uint64) int { return int(v % 4) }
+	fn := func(worker, shard int, batch []uint64) {}
+	allocs := func(workers, n int) float64 {
+		vs := make([]uint64, n)
+		for i := range vs {
+			vs[i] = uint64(i)
+		}
+		r := NewShardedReplay(4, 256)
+		r.Replay(workers, vs, route, fn) // size the reused buffers
+		return testing.AllocsPerRun(20, func() { r.Replay(workers, vs, route, fn) })
+	}
+	if got := allocs(1, 4096); got != 0 {
+		t.Errorf("one worker: %v allocs per call, want 0", got)
+	}
+	small, large := allocs(8, 4096), allocs(8, 65536)
+	if small != large {
+		t.Errorf("eight workers: %v allocs per call at 4096 samples, %v at 65536; want equal", small, large)
+	}
+	t.Logf("eight workers: %v allocs per call", small)
+}

@@ -86,12 +86,3 @@ func BinaryErrorPressure(tx, ty *trie.Trie, budget int) (Pressure, error) {
 	}
 	return pr, nil
 }
-
-// Apportion splits budget across weights (each bucket gets at least one
-// share) using the largest-remainder method; a non-positive total falls back
-// to equal shares. It is the same division Algorithm 3 uses to tile entries
-// inside a range cover, exported for the tenant arbiter's cross-operation
-// budget split.
-func Apportion(weights []float64, total float64, budget int) []int {
-	return apportion(weights, total, budget)
-}

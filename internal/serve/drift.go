@@ -28,11 +28,6 @@ type DriftConfig struct {
 	MinSamples uint64
 }
 
-// DefaultDriftConfig returns the drift detector defaults.
-func DefaultDriftConfig() DriftConfig {
-	return DriftConfig{Trigger: 0.15, Rearm: 0.075, MinSamples: 32}
-}
-
 func (c *DriftConfig) normalise() error {
 	if c.Trigger == 0 {
 		c.Trigger = 0.15
