@@ -27,8 +27,9 @@ bench:
 
 # Lookup fast-path benchmarks: LookupIndexBatch as a batch of one, as a
 # full batch and from parallel readers, against the linear scan, over
-# random 32-bit prefixes (trie) and a width-16 full cover (16-bit LUT) at
-# 128, 1024 and 8192 entries. Use -cpu 1,2,4 for the parallel curve.
+# random 32-bit prefixes (trie), a width-16 full cover (16-bit LUT) and an
+# even and an ADA-peaked width-17 tiling (direct index) at 128, 1024 and
+# 8192 entries. Use -cpu 1,2,4 for the parallel curve.
 bench-lookup:
 	$(GO) test -bench 'Lookup' -benchmem -run '^$$' ./internal/tcam
 

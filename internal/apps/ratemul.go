@@ -45,14 +45,16 @@ func NewADARateMultiplier(cfg core.Config, widthT, dtSigBits int) (*ADARateMulti
 	return &ADARateMultiplier{sys: sys, widthR: cfg.Width, widthT: widthT}, nil
 }
 
-// Multiply implements netsim.Arithmetic: the rate operand is monitored (the
-// ADA data-plane path), then the joint table answers.
+// Multiply implements netsim.Arithmetic: the rate operand, clamped to its
+// key width, is monitored (the ADA data-plane path), then the joint table
+// answers for that same clamped rate.
 func (m *ADARateMultiplier) Multiply(rate, dt uint64) uint64 {
 	if rate == 0 || dt == 0 {
 		return 0
 	}
+	rate = clampWidth(rate, m.widthR)
 	m.sys.Observe(rate)
-	v, err := m.sys.Engine().Eval(clampWidth(rate, m.widthR), clampWidth(dt, m.widthT))
+	v, err := m.sys.Engine().Eval(rate, clampWidth(dt, m.widthT))
 	if err != nil {
 		return 0
 	}

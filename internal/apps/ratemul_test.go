@@ -38,6 +38,29 @@ func TestADARateMultiplierBasics(t *testing.T) {
 	}
 }
 
+// TestADARateMultiplierObservesClampedRate: a rate wider than the rate key
+// is answered from the clamped rate's row, so its hit must land in the bin
+// holding the clamped rate, not in the bin its low bits mask to (300 masks
+// to 44 at width 8).
+func TestADARateMultiplierObservesClampedRate(t *testing.T) {
+	m, err := NewADARateMultiplier(rateConfig(), 16, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Multiply(300, 500)
+	mon := m.Controller().Monitor()
+	hits := mon.Snapshot()
+	for i, p := range mon.Prefixes() {
+		want := uint64(0)
+		if p.Contains(255) {
+			want = 1
+		}
+		if hits[i] != want {
+			t.Errorf("bin %v: %d hits, want %d", p, hits[i], want)
+		}
+	}
+}
+
 func TestADARateMultiplierErrors(t *testing.T) {
 	bad := func(edit func(*core.Config)) core.Config {
 		cfg := rateConfig()

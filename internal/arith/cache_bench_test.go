@@ -15,9 +15,9 @@ import (
 const cacheSpeedupFloor = 2.0
 
 // The cached-eval benchmarks run over the width-17 exact population: 2^17
-// entries give every key its own range, so an uncached lookup pays the full
-// predecessor search (the dense LUT stops at 16 bits). Each skew has one
-// stream of whole 4096-sample batches drawn with seed 47.
+// entries give every key its own range, which compiles to the direct index
+// (the dense LUT stops at 16 bits), so an uncached lookup is two loads.
+// Each skew has one stream of whole 4096-sample batches drawn with seed 47.
 const (
 	benchCacheWidth   = 17
 	benchCacheBatch   = 4096

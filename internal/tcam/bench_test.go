@@ -68,11 +68,29 @@ func benchCoverTable(b *testing.B, entries int) *Table {
 	return tb
 }
 
+// benchPrefixTable installs ps as a width-bit table, one row per prefix.
+func benchPrefixTable(b *testing.B, width int, ps []bitstr.Prefix) *Table {
+	b.Helper()
+	tb := MustNew("bench-wide", 0, width)
+	if _, err := tb.ApplyRowsAtomic(tilingRows(ps)); err != nil {
+		b.Fatal(err)
+	}
+	return tb
+}
+
+// The peak17 cell's density: a triangle over 1/16 of the 17-bit domain.
+const benchPeak, benchRadius = 3 << 15, 1 << 12
+
 // runLookupCells runs fn as one sub-benchmark per table shape and size
 // (128, 1024 and 8192 entries). prefix32 holds random 8–32-bit prefixes of
 // a 32-bit key, which nest and compile to the trie; cover16 is a full
-// prefix cover of a 16-bit key, which compiles to the 16-bit LUT.
+// prefix cover of a 16-bit key, which compiles to the 16-bit LUT. tiling17
+// and peak17 compile to the direct-indexed wide form: tiling17 is an even
+// tiling of a 17-bit key probed by uniform keys, and peak17 an ADA-shaped
+// tiling that splits best-first on a triangular density, its finest
+// prefixes where the keys, drawn from the same density, land.
 func runLookupCells(b *testing.B, fn func(b *testing.B, tb *Table, keys []uint64)) {
+	root17, _ := bitstr.Root(17)
 	cells := []struct {
 		name  string
 		table func(*testing.B, int) *Table
@@ -80,6 +98,12 @@ func runLookupCells(b *testing.B, fn func(b *testing.B, tb *Table, keys []uint64
 	}{
 		{"prefix32", benchTable, benchKeys(1024)},
 		{"cover16", benchCoverTable, benchWidthKeys(1024, 16)},
+		{"tiling17", func(b *testing.B, n int) *Table {
+			return benchPrefixTable(b, 17, subdivideForBench(root17, n))
+		}, benchWidthKeys(1024, 17)},
+		{"peak17", func(b *testing.B, n int) *Table {
+			return benchPrefixTable(b, 17, peakTiling(17, n, benchPeak, benchRadius))
+		}, peakKeys(rand.New(rand.NewSource(4)), 1024, benchPeak, benchRadius)},
 	}
 	for _, c := range cells {
 		for _, n := range []int{128, 1024, 8192} {
@@ -322,7 +346,7 @@ func BenchmarkLookupCacheUncached4096(b *testing.B) {
 
 // BenchmarkBuildIndexTiling3840 compiles a 3840-row disjoint tiling of a
 // 17-bit domain — the cold tier of a 4096-entry population over a 256-row
-// TCAM slice — which takes the predecessor-search range set and no trie.
+// TCAM slice — which takes the direct-indexed wide range set and no trie.
 func BenchmarkBuildIndexTiling3840(b *testing.B) {
 	root, _ := bitstr.Root(17)
 	tb := MustNew("bench-compile", 0, 17)

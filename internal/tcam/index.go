@@ -23,11 +23,14 @@
 //     joint binary populations are cross products of two tilings — compile
 //     each field to a rangeSet: a dense lookup table (one indexed load per
 //     key, no branches to mispredict) when the field is at most lutMaxBits
-//     wide, a sorted range array searched by predecessor otherwise. A
-//     single-field lookup is then one resolve; a two-field lookup is two
-//     resolves plus a load from a #Xprefixes×#Yprefixes grid of winning
-//     ordinals. At most one entry can match a key per disjoint field set, so
-//     results are trivially bit-identical to the reference resolution.
+//     wide, and a direct index otherwise: the key's top bits pick a root
+//     descriptor and its next bits a cell of that descriptor's child table,
+//     two loads whatever the skew of the spans (a third only below a child
+//     whose stride reached wideCap). A single-field lookup is then one
+//     resolve; a two-field lookup is two resolves plus a load from a
+//     #Xprefixes×#Yprefixes grid of winning ordinals. At most one entry can
+//     match a key per disjoint field set, so results are trivially
+//     bit-identical to the reference resolution.
 //   - Any overlap (nested prefixes, duplicates, non-product two-field rows,
 //     three or more fields) compiles a nested binary trie instead — one trie
 //     level per key field, walked MSB-first along the key bits — so a lookup
@@ -41,15 +44,19 @@
 //     population scheme in this repo emits prefix masks, so the fallback
 //     exists only for API completeness.
 //
-// The differential tests in index_test.go and typed_test.go pin every form
-// against LookupAll, the uncompiled reference scan.
+// Memory: a LUT holds 2^width int32 slots (256 KiB at 16 bits). A direct
+// index over n spans holds 2^k ≤ 4n 8-byte root descriptors, one int32 cell
+// per span, and one child table of at most 2^wideCap cells per root bucket
+// or capped cell a span boundary splits: at most 2n per level, so
+// O(2^k + n·2^wideCap·⌈width/wideCap⌉) at any width (a 3840-span width-17
+// tiling: 64 KiB of descriptors and 15 KiB of cells). A trie holds one node
+// per distinct masked bit per entry.
+//
+// The differential tests in index_test.go, typed_test.go and wide_test.go
+// pin every form against LookupAll, the uncompiled reference scan.
 package tcam
 
-import (
-	"cmp"
-	"math/bits"
-	"slices"
-)
+import "math/bits"
 
 // idxNode is one trie node. For the last key field, entry holds the best
 // (resolution-order first) entry terminating at this node; for earlier
@@ -95,6 +102,13 @@ type index struct {
 // domain at snapshot-compile time (mutation-rate work, not lookup-rate).
 const lutMaxBits = 16
 
+// wideCap bounds the stride of a direct index's child tables. A bucket
+// whose finest span boundary lies more than wideCap bits below its top gets
+// a 2^wideCap-cell child whose cells a boundary still splits recurse one
+// level further, so a /64 row inside a wide bucket costs a few small
+// tables rather than a 2^(bucket bits)-cell one.
+const wideCap = 8
+
 // span is one match interval [lo, hi] of a field and the slot it resolves
 // to: the raw material for buildRangeSet.
 type span struct {
@@ -103,43 +117,77 @@ type span struct {
 }
 
 // rangeSet is one field's compiled disjoint prefix set. resolve maps a key
-// to the owning prefix's slot, or −1 for a miss. Narrow fields use the
-// dense lut (a single indexed load — nothing for the branch predictor to
-// miss); wide fields binary-search the sorted range bounds.
+// to the owning prefix's slot, or −1 for a miss. A narrow field uses the
+// dense lut: a single indexed load, nothing for the branch predictor to
+// miss. A wide field uses a direct index of two loads. root[key>>shift] is
+// the descriptor of the key's bucket: a base, a cell shift and a cell mask
+// (see directDesc), and the slot is cells[base + (key>>cellShift)&mask]. A
+// bucket that one span or a gap covers whole has mask 0 and points at that
+// span's own cell (cells[1+i], or the miss cell cells[0]); a bucket that
+// span boundaries split points at a child table as fine as its finest
+// boundary. A child whose stride reached wideCap holds −2−d in each cell a
+// boundary still splits, d indexing a further descriptor appended to root
+// past the buckets.
 type rangeSet struct {
-	mask   uint64
-	lut    []int32
-	lo, hi []uint64
-	slot   []int32
+	mask  uint64
+	lut   []int32
+	shift uint
+	root  []uint64
+	cells []int32
 }
 
 // resolve maps a key to its slot or −1. Key bits above the field width are
-// ignored, matching Field.Matches and the trie walk.
+// ignored, matching Field.Matches and the trie walk. It inlines into the
+// per-key callers (the grid and the tiered store's cold tier); batches go
+// through resolveBatch, which picks the form once.
 func (r *rangeSet) resolve(key uint64) int32 {
 	key &= r.mask
 	if r.lut != nil {
 		return r.lut[key]
 	}
-	lo := r.lo
-	base, n := 0, len(lo)
-	for n > 1 {
-		half := n >> 1
-		if lo[base+half] <= key {
-			base += half
+	return resolveDirect(r.root, r.cells, r.shift, key)
+}
+
+// resolveBatch resolves keys[i] into dst[i], one tight loop per form.
+func (r *rangeSet) resolveBatch(keys []uint64, dst []int32) {
+	dst = dst[:len(keys)]
+	mask := r.mask
+	if lut := r.lut; lut != nil {
+		for i, k := range keys {
+			dst[i] = lut[k&mask]
 		}
-		n -= half
+		return
 	}
-	if lo[base] > key || key > r.hi[base] {
-		return -1
+	root, cells, shift := r.root, r.cells, r.shift
+	for i, k := range keys {
+		dst[i] = resolveDirect(root, cells, shift, k&mask)
 	}
-	return r.slot[base]
+}
+
+// resolveDirect walks a direct index for a key already masked to the field.
+func resolveDirect(root []uint64, cells []int32, shift uint, key uint64) int32 {
+	d := root[key>>(shift&63)]
+	for {
+		c := cells[uint32(d)+uint32(key>>(d>>32&63))&uint32(d>>40)]
+		if c >= -1 {
+			return c
+		}
+		d = root[-2-c]
+	}
+}
+
+// directDesc packs a child table's descriptor: its first cell in the low 32
+// bits, the key shift that aligns its cells at bit 32, and the mask of its
+// cell bits from bit 40 (wideCap ≤ 24).
+func directDesc(base int, cellShift, cellBits uint) uint64 {
+	return uint64(base) | uint64(cellShift)<<32 | (uint64(1)<<cellBits-1)<<40
 }
 
 // buildRangeSet compiles spans after verifying they are pairwise disjoint;
 // it returns nil when they overlap (overlapping prefixes need the trie's
-// LPM resolution) or there are none. A narrow field fills its LUT straight
-// from the spans, an overlap showing up as an already-claimed key; a wide
-// one sorts the spans by range start in place, in O(n log n).
+// LPM resolution) or there are none. Both forms are written straight from
+// the spans, in any order and without sorting them; an overlap shows up as
+// an already-claimed LUT key, bucket or cell.
 func buildRangeSet(width int, spans []span) *rangeSet {
 	if len(spans) == 0 {
 		return nil
@@ -147,8 +195,9 @@ func buildRangeSet(width int, spans []span) *rangeSet {
 	r := &rangeSet{mask: lowMask(width)}
 	if width <= lutMaxBits {
 		lut := make([]int32, 1<<uint(width))
-		for i := range lut {
-			lut[i] = -1
+		lut[0] = -1
+		for n := 1; n < len(lut); n *= 2 { // fill with −1 by doubling copies
+			copy(lut[n:], lut[:n])
 		}
 		for _, s := range spans {
 			for k := s.lo; k <= s.hi; k++ {
@@ -161,19 +210,139 @@ func buildRangeSet(width int, spans []span) *rangeSet {
 		r.lut = lut
 		return r
 	}
-	slices.SortFunc(spans, func(a, b span) int { return cmp.Compare(a.lo, b.lo) })
-	for i := 1; i < len(spans); i++ {
-		if spans[i].lo <= spans[i-1].hi {
-			return nil
-		}
-	}
-	r.lo = make([]uint64, len(spans))
-	r.hi = make([]uint64, len(spans))
-	r.slot = make([]int32, len(spans))
-	for i, s := range spans {
-		r.lo[i], r.hi[i], r.slot[i] = s.lo, s.hi, s.slot
+	if !r.buildDirect(width, spans) {
+		return nil
 	}
 	return r
+}
+
+// pendingBucket marks, while a direct index builds, a root bucket that
+// spans cover only in part; the low bits hold the head of its span list.
+const pendingBucket = 1 << 63
+
+// spanLink chains the spans that cover a bucket or a capped cell in part.
+type spanLink struct{ span, next int32 }
+
+// directBuilder holds one direct index build's spans and span lists.
+type directBuilder struct {
+	r     *rangeSet
+	spans []span
+	links []spanLink
+}
+
+// buildDirect compiles spans into the direct form. The root has 2^k
+// buckets, 2n < 2^k ≤ 4n for n spans, or one per key when the field is
+// narrower. A span claims every bucket it covers whole and joins the span
+// list of the at most two it covers in part; each such bucket then compiles
+// to a child table.
+func (r *rangeSet) buildDirect(width int, spans []span) bool {
+	k := min(width, bits.Len(uint(len(spans)))+1)
+	r.shift = uint(width - k)
+	buckets := 1 << uint(k)
+	r.root = make([]uint64, buckets)
+	r.cells = make([]int32, 1+len(spans))
+	r.cells[0] = -1
+	b := directBuilder{r: r, spans: spans}
+	tail := lowMask(int(r.shift))
+	for i, s := range spans {
+		r.cells[1+i] = s.slot
+		for bk := s.lo >> r.shift; bk <= s.hi>>r.shift; bk++ {
+			d := &r.root[bk]
+			if lo := bk << r.shift; s.lo <= lo && lo|tail <= s.hi {
+				if *d != 0 {
+					return false
+				}
+				*d = directDesc(1+i, 0, 0)
+				continue
+			}
+			head := int32(-1)
+			if *d != 0 {
+				if *d&pendingBucket == 0 {
+					return false
+				}
+				head = int32(*d &^ pendingBucket)
+			}
+			b.links = append(b.links, spanLink{int32(i), head})
+			*d = pendingBucket | uint64(len(b.links)-1)
+		}
+	}
+	for bk := 0; bk < buckets; bk++ {
+		if d := r.root[bk]; d&pendingBucket != 0 {
+			desc, ok := b.node(uint64(bk)<<r.shift, r.shift, int32(d&^pendingBucket))
+			if !ok {
+				return false
+			}
+			r.root[bk] = desc
+		}
+	}
+	return true
+}
+
+// node compiles the aligned block [lo, lo+2^sh) that the spans listed from
+// head cover in part into a child table and returns its descriptor. The
+// cells are as fine as the finest span boundary inside the block (its
+// fewest trailing zeros), capped at 2^wideCap cells; under the cap every
+// cell lies whole inside a span or a gap, above it a cell a boundary still
+// splits compiles to a further node. A cell claimed twice is an overlap.
+func (b *directBuilder) node(lo uint64, sh uint, head int32) (uint64, bool) {
+	hi := lo | lowMask(int(sh))
+	fine := sh
+	for l := head; l >= 0; l = b.links[l].next {
+		s := b.spans[b.links[l].span]
+		if s.lo > lo {
+			fine = min(fine, uint(bits.TrailingZeros64(s.lo)))
+		}
+		if s.hi < hi {
+			fine = min(fine, uint(bits.TrailingZeros64(s.hi+1)))
+		}
+	}
+	cb := min(sh-fine, wideCap)
+	csh := sh - cb
+	r := b.r
+	base := len(r.cells)
+	r.cells = append(r.cells, make([]int32, 1<<cb)...)
+	cells := r.cells[base:]
+	for j := range cells {
+		cells[j] = -1
+	}
+	var split []int32 // per cell: head of the spans that cover it in part
+	if csh > fine {
+		split = make([]int32, len(cells))
+		for j := range split {
+			split[j] = -1
+		}
+	}
+	tail := lowMask(int(csh))
+	for l := head; l >= 0; l = b.links[l].next {
+		si := b.links[l].span
+		s := b.spans[si]
+		for j := (max(s.lo, lo) - lo) >> csh; j <= (min(s.hi, hi)-lo)>>csh; j++ {
+			if clo := lo + j<<csh; s.lo <= clo && clo|tail <= s.hi {
+				if cells[j] != -1 || split != nil && split[j] >= 0 {
+					return 0, false
+				}
+				cells[j] = s.slot
+				continue
+			}
+			if split == nil || cells[j] != -1 {
+				return 0, false
+			}
+			b.links = append(b.links, spanLink{si, split[j]})
+			split[j] = int32(len(b.links) - 1)
+		}
+	}
+	for j, h := range split {
+		if h < 0 {
+			continue
+		}
+		desc, ok := b.node(lo+uint64(j)<<csh, csh, h)
+		if !ok {
+			return 0, false
+		}
+		r.cells[base+j] = int32(-2 - len(r.root))
+		r.root = append(r.root, desc)
+	}
+	return directDesc(base, csh, cb), true
 }
 
 // lowMask returns a mask with the low n bits set, handling n >= 64.
@@ -375,9 +544,7 @@ func (ix *index) lookupOrd(keys []uint64) int32 {
 // dst, one tuple per element of dst.
 func (ix *index) resolveBatch(flat []uint64, dst []int32) {
 	if rs := ix.rset; rs != nil {
-		for i := range dst {
-			dst[i] = rs.resolve(flat[i])
-		}
+		rs.resolveBatch(flat[:len(dst)], dst)
 		return
 	}
 	arity := len(ix.widths)

@@ -302,8 +302,8 @@ func TestLookupSnapshotStableAcrossUpdate(t *testing.T) {
 }
 
 // TestCompileFormsSkipTrie pins which compiled form each entry-set shape
-// gets: disjoint tilings compile to range sets (LUT at ≤16 bits, predecessor
-// search above) or the product grid and never build the trie, while nested
+// gets: disjoint tilings compile to range sets (LUT at ≤16 bits, the direct
+// index above) or the product grid and never build the trie, while nested
 // prefixes and non-product two-field sets still do.
 func TestCompileFormsSkipTrie(t *testing.T) {
 	for _, width := range []int{12, 20} {
@@ -311,8 +311,8 @@ func TestCompileFormsSkipTrie(t *testing.T) {
 		if ix.rset == nil || ix.root != nil {
 			t.Fatalf("width %d tiling: rset=%v root=%v, want range set and no trie", width, ix.rset != nil, ix.root != nil)
 		}
-		if (ix.rset.lut != nil) != (width <= lutMaxBits) {
-			t.Fatalf("width %d tiling: lut=%v", width, ix.rset.lut != nil)
+		if narrow := width <= lutMaxBits; (ix.rset.lut != nil) != narrow || (ix.rset.root != nil) == narrow {
+			t.Fatalf("width %d tiling: lut=%v direct=%v", width, ix.rset.lut != nil, ix.rset.root != nil)
 		}
 	}
 
@@ -356,8 +356,8 @@ func TestCompileFormsSkipTrie(t *testing.T) {
 
 // TestBuildRangeSetReverseSorted feeds buildRangeSet its spans in
 // descending order — the worst case for an insertion sort — in both the LUT
-// and the predecessor-search forms, and checks every key resolves to its
-// span's slot, gaps included.
+// and the direct-index forms, and checks every key resolves to its span's
+// slot, gaps included.
 func TestBuildRangeSetReverseSorted(t *testing.T) {
 	for _, width := range []int{10, 24} {
 		const n = 300

@@ -3,8 +3,7 @@
 // Switch pipelines pair a tiny TCAM with orders of magnitude more SRAM.
 // MashUp-style tiling exploits that: the wildcard rows a TCAM would hold are
 // prefix intervals, and a dense set of disjoint intervals resolves in SRAM
-// with a direct-indexed table or a predecessor search — no ternary cells
-// needed. The sramTier below is the mutable cold-tail row set: its
+// with a direct-indexed table — no ternary cells needed. The sramTier below is the mutable cold-tail row set: its
 // reconciliation against a target population and the row-write accounting.
 // It has no lookup code of its own. The tiered snapshot compiles its rows
 // with buildIndex (index.go), the same compiler the TCAM tier uses, so the

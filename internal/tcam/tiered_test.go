@@ -87,23 +87,26 @@ func assertLookupParity(t *testing.T, ts *TieredStore, ref *Table, flat []uint64
 // the same logical population, and fingerprints byte-identically, across
 // random populations and incremental churn. The cases drive the SRAM tier
 // through each compiled form buildIndex picks for one field: the dense LUT
-// (≤16 bits), predecessor search (wider), and the trie (nested rows: the
+// (≤16 bits), the direct index (wider), and the trie (nested rows: the
 // parents of half the leaves are installed too, and lose LPM to them).
+// Each case draws from its own seed, so one case's failure leaves the
+// others' inputs unchanged.
 func TestTieredDifferentialVsTable(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
 	cases := []struct {
 		name     string
+		seed     int64
 		width    int
 		maxDepth int
 		nested   bool
 		form     func(*index) bool
 	}{
-		{"lut", 8, 6, false, func(ix *index) bool { return ix.rset != nil && ix.rset.lut != nil }},
-		{"predecessor", 20, 9, false, func(ix *index) bool { return ix.rset != nil && ix.rset.lut == nil }},
-		{"trie", 8, 6, true, func(ix *index) bool { return ix.rset == nil && ix.root != nil }},
+		{"lut", 7, 8, 6, false, func(ix *index) bool { return ix.rset != nil && ix.rset.lut != nil }},
+		{"direct", 8, 20, 9, false, func(ix *index) bool { return ix.rset != nil && ix.rset.root != nil }},
+		{"trie", 9, 8, 6, true, func(ix *index) bool { return ix.rset == nil && ix.root != nil }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(tc.seed))
 			population := func() []Row {
 				ps := randTiling(rng, tc.width, tc.maxDepth)
 				for len(ps) < 8 { // leaves fill the 4-row TCAM slice first

@@ -53,14 +53,14 @@ func checkIndexBatch(t *testing.T, tb *Table, flat []uint64, arity int) {
 // TestLookupIndexBatchDifferentialFuzz proves the ordinal path bit-identical
 // to the reference scan across random one- and two-field tables —
 // overlapping and disjoint prefixes, narrow (dense-LUT) and wide
-// (range-searched) fields alike.
+// (direct-indexed) fields alike.
 func TestLookupIndexBatchDifferentialFuzz(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	for trial := 0; trial < 40; trial++ {
 		nf := 1 + rng.Intn(2)
 		widths := make([]int, nf)
 		for i := range widths {
-			widths[i] = 1 + rng.Intn(28) // spans both rangeSet forms
+			widths[i] = 1 + rng.Intn(28) // spans the LUT and direct rangeSet forms
 		}
 		tb := randomPrefixTable(t, rng, 1+rng.Intn(150), widths...)
 		flat := make([]uint64, 300*nf)
