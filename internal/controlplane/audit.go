@@ -53,7 +53,9 @@ type Auditor interface {
 
 // AuditableTarget is the target-side audit seam DirectDriver forwards to —
 // the core package's calculation targets implement it by diffing their
-// installed shadow against the store's read-back.
+// installed shadow against the store's read-back. A unary target that has
+// no shadow yet, as after Recover, takes the table over as it reads back
+// instead, checking every row against its own key.
 type AuditableTarget interface {
 	AuditCalc(repair bool) (AuditReport, error)
 }

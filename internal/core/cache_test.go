@@ -12,11 +12,11 @@ import (
 // one with a 4096-slot lookup cache and one without, through 500 control
 // rounds (60 under -short) of Zipf s = 1.1 operands whose hot set moves every
 // 20 rounds, with 20 rounds of uniform operands a third of the way in. Both
-// run tiered, audit every 7 rounds, journal, take the same seeded write
-// faults, and crash-restart halfway inside a fault-free window. After every
-// batch the eval results and miss counts must match; after every round the
-// degraded verdicts, calculation fingerprints and monitor registers must
-// match, and both restarts must replay the same journal commit. The churn
+// run tiered, audit every 7 rounds, take the same seeded write faults, and
+// crash-restart halfway inside a fault-free window. After every batch the
+// eval results and miss counts must match; after every round the degraded
+// verdicts, calculation fingerprints and monitor registers must match, and
+// both restarts must read back the same clean table. The churn
 // must invalidate the cache, the audits must run, the uniform phase must
 // make the cache stand aside, and the Zipf phase after it must find the
 // cache probing and hitting again, or the soak proved nothing.
@@ -33,7 +33,6 @@ func TestCachedMatchesUncached(t *testing.T) {
 		cfg.CalcCapacity = 2 * calc
 		cfg.TieredTCAMEntries = calc / 2
 		cfg.AuditEvery = 7
-		cfg.EnableJournal = true
 		cfg.LookupCacheEntries = cacheEntries
 		prof, err := faults.ParseProfile("seed=29,write=0.03")
 		if err != nil {
@@ -93,8 +92,8 @@ func TestCachedMatchesUncached(t *testing.T) {
 			if err != nil {
 				t.Fatalf("plain restart: %v", err)
 			}
-			if recC.FullResync || recC.ReplayedRound != recP.ReplayedRound {
-				t.Fatalf("round %d: restarts replayed cached %+v, plain %+v; want the same journal commit", round, recC, recP)
+			if recC != recP || !recC.Audit.Clean() {
+				t.Fatalf("round %d: restarts read back cached %+v, plain %+v; want the same clean table", round, recC, recP)
 			}
 			injC.SetArmed(true)
 			injP.SetArmed(true)

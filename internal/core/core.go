@@ -19,6 +19,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/bits"
 	"time"
 
 	"github.com/ada-repro/ada/internal/arith"
@@ -94,8 +95,12 @@ type Config struct {
 	// against the expected population, and repaired with a minimal
 	// anti-entropy delta. 0 disables auditing.
 	AuditEvery int
-	// EnableJournal write-ahead logs every controller round so the system
-	// can Restart after a crash and recover its commit state.
+	// EnableJournal does nothing. It once write-ahead logged every round
+	// for Restart, which now recovers from the switch's read-back and a
+	// constant-size commit record every unary system keeps; the field stays
+	// so existing configurations keep compiling.
+	//
+	// Deprecated: Restart works on every unary system.
 	EnableJournal bool
 	// CrashHook, when set, is consulted at each controller crash point —
 	// the seam internal/faults uses to inject controller crashes.
@@ -181,15 +186,6 @@ func (c Config) controllerConfig() controlplane.Config {
 		AuditEvery:        c.AuditEvery,
 		CrashHook:         c.CrashHook,
 	}
-}
-
-// journalFor allocates a controller's write-ahead journal when journaling
-// is enabled (one journal per controller; a binary system has two).
-func (c Config) journalFor() *controlplane.Journal {
-	if !c.EnableJournal {
-		return nil
-	}
-	return controlplane.NewJournal()
 }
 
 // SyncReport summarises one control round of a system.
@@ -458,6 +454,52 @@ func (t *unaryTarget) Populate(tr *trie.Trie, budget int) (int, int, int, error)
 	})
 }
 
+// AuditCalc implements controlplane.AuditableTarget: the shadow's audit
+// against its record, or, on a target that has committed nothing (a
+// restarted controller's), adopt.
+func (t *unaryTarget) AuditCalc(repair bool) (controlplane.AuditReport, error) {
+	if t.have {
+		return t.shadow.AuditCalc(repair)
+	}
+	return t.adopt(repair)
+}
+
+// adopt takes the table over as it reads back. Only a row at priority 0
+// whose mask is a prefix and whose payload is a result is a row a unary
+// population writes; population.CheckUnary checks those against
+// their own keys and fills the gaps the others leave. AuditStore classifies
+// the read-back against that expectation and, with repair set, commits the
+// difference, after which the checked population is the record. Its build
+// key is unknown, so the record carries budget 0, which no round presents:
+// the next round builds and commits by delta against it.
+func (t *unaryTarget) adopt(repair bool) (controlplane.AuditReport, error) {
+	digests, err := t.store.ReadRows()
+	if err != nil {
+		return controlplane.AuditReport{}, err
+	}
+	width := t.store.FieldWidths()[0]
+	read := make([]population.UnaryEntry, 0, len(digests))
+	for _, d := range digests {
+		if d.Priority != 0 {
+			continue
+		}
+		f := d.Fields[0]
+		p, err := bitstr.New(f.Value, bits.OnesCount64(f.Mask), width)
+		result, ok := d.Data.(uint64)
+		if err != nil || p.Value() != f.Value || p.Mask() != f.Mask || !ok {
+			continue
+		}
+		read = append(read, population.UnaryEntry{P: p, Result: result})
+	}
+	expect := population.CheckUnary(read, t.op.Func(), t.rep)
+	rep, err := controlplane.AuditStore(t.store, t.rows(expect), repair)
+	if err != nil || !repair {
+		return rep, err
+	}
+	t.record(expect, [2]uint64{}, 0)
+	return rep, nil
+}
+
 // PlaceTiers implements controlplane.TierPlacer from the trie's hit
 // registers (see placeTiers).
 func (t *unaryTarget) PlaceTiers(tr *trie.Trie) (controlplane.TierMoves, bool, error) {
@@ -536,12 +578,12 @@ func (t *crossTarget) Populate(tx *trie.Trie, budget int) (int, int, int, error)
 }
 
 // controller builds one monitored variable's controller over target (nil
-// for a variable that owns no calculation table), with its own journal, and
-// installs target's initial population from the uniform trie, so lookups
-// work before the first Sync.
-func (c Config) controller(mon *monitor.Monitor, target controlplane.Target) (*controlplane.Controller, error) {
+// for a variable that owns no calculation table), writing its commit record
+// to commit when set, and installs target's initial population from the
+// uniform trie, so lookups work before the first Sync.
+func (c Config) controller(mon *monitor.Monitor, target controlplane.Target, commit *controlplane.CommitRecord) (*controlplane.Controller, error) {
 	ccfg := c.controllerConfig()
-	ccfg.Journal = c.journalFor()
+	ccfg.Commit = commit
 	ctl, err := controlplane.New(ccfg, mon, target)
 	if err != nil || target == nil {
 		return ctl, err
@@ -575,6 +617,8 @@ type UnarySystem struct {
 	op     arith.UnaryOp
 	engine *arith.UnaryEngine
 	ctl    *controlplane.Controller
+	// commit is the controller's commit record; it outlives a restart.
+	commit *controlplane.CommitRecord
 }
 
 // NewUnary builds the system and installs the initial (uniform) population,
@@ -614,7 +658,8 @@ func newUnaryOn(name string, cfg Config, op arith.UnaryOp, engine *arith.UnaryEn
 	if err != nil {
 		return nil, err
 	}
-	ctl, err := cfg.controller(mon, newUnaryTarget(engine, op, cfg))
+	commit := new(controlplane.CommitRecord)
+	ctl, err := cfg.controller(mon, newUnaryTarget(engine, op, cfg), commit)
 	if err != nil {
 		return nil, err
 	}
@@ -623,7 +668,7 @@ func newUnaryOn(name string, cfg Config, op arith.UnaryOp, engine *arith.UnaryEn
 	if ts, ok := engine.Store().(*tcam.TieredStore); ok {
 		ts.TakeSRAMWrites()
 	}
-	return &UnarySystem{cfg: cfg, op: op, engine: engine, ctl: ctl}, nil
+	return &UnarySystem{cfg: cfg, op: op, engine: engine, ctl: ctl, commit: commit}, nil
 }
 
 // Observe feeds one operand value to the monitoring pipeline without a
@@ -674,42 +719,29 @@ func (s *UnarySystem) SyncCtx(ctx context.Context) (SyncReport, error) {
 
 // Restart models a controller crash and restart: the data plane (monitor
 // registers, calculation table) keeps serving untouched, while the
-// controller's in-memory state — trie and shadow record — is lost and
-// rebuilt from the write-ahead journal via controlplane.Recover.
-// Recovery reinstalls the journaled bin layout (zeroing the hit registers,
-// as a switch table reprogram would), reconciles the calculation table with
-// a minimal anti-entropy delta, and finishes with a detect-only verification
-// audit folded into the report. Requires Config.EnableJournal; works whether
-// or not the previous controller actually crashed.
+// controller's in-memory state (trie and shadow record) is lost and rebuilt
+// from what the switch holds via controlplane.Recover. The trie comes from
+// the installed monitoring bins, whose reinstall zeroes the hit registers as
+// a switch table reprogram would. A fresh calculation target then takes the
+// table over as it reads back: every row is checked against its own key and
+// the rows that fail are repaired (see unaryTarget.adopt). The budget and
+// expansion hysteresis come from the commit record. Works on every unary
+// system, whether or not the previous controller actually crashed.
+//
+// Under Config.EWMADecay a restart forgets the decayed hit history: the
+// rebuilt trie starts from zero hits, where a never-restarted controller
+// would still carry half of its previous masses.
 func (s *UnarySystem) Restart() (controlplane.RecoveryReport, error) {
-	j := s.ctl.Journal()
-	if j == nil {
-		return controlplane.RecoveryReport{}, fmt.Errorf("%w: Restart requires EnableJournal", ErrConfig)
-	}
-	mon := s.ctl.Monitor()
-	if mon == nil {
-		return controlplane.RecoveryReport{}, fmt.Errorf("%w: Restart requires an in-process monitor", ErrConfig)
-	}
+	ccfg := s.cfg.controllerConfig()
+	ccfg.Commit = s.commit
 	target := newUnaryTarget(s.engine, s.op, s.cfg)
-	ctl, rrep, err := controlplane.Recover(s.cfg.controllerConfig(), controlplane.NewDirectDriver(mon, target), j)
+	ctl, rep, err := controlplane.Recover(ccfg, controlplane.NewDirectDriver(s.ctl.Monitor(), target))
 	if err != nil {
-		return rrep, err
+		return rep, err
 	}
-	// Post-recovery verification: read the hardware back against the
-	// recovered population (should be clean — the populate just reconciled).
-	verify, verr := target.AuditCalc(false)
-	if verr != nil {
-		return rrep, fmt.Errorf("core: post-recovery audit: %w", verr)
-	}
-	rrep.Audit.Add(verify)
-	rrep.Delay += time.Duration(verify.Audited) * s.cfg.Cost.PerRowRead
 	s.ctl = ctl
-	return rrep, nil
+	return rep, nil
 }
-
-// Journal exposes the controller's write-ahead journal (nil when
-// EnableJournal is off).
-func (s *UnarySystem) Journal() *controlplane.Journal { return s.ctl.Journal() }
 
 // Engine exposes the calculation engine (benchmarks, error measurement).
 func (s *UnarySystem) Engine() *arith.UnaryEngine { return s.engine }
@@ -792,12 +824,12 @@ func newBinaryOn(name string, cfg Config, op arith.BinaryOp, engine *arith.Binar
 	if err != nil {
 		return nil, err
 	}
-	ctlX, err := cfg.controller(monX, nil)
+	ctlX, err := cfg.controller(monX, nil, nil)
 	if err != nil {
 		return nil, err
 	}
 	target := &jointTarget{shadow: jointShadow(engine.Store(), cfg), x: ctlX, op: op, rep: cfg.Representative}
-	ctlY, err := cfg.controller(monY, target)
+	ctlY, err := cfg.controller(monY, target, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -945,7 +977,7 @@ func NewCross(cfg Config, op arith.BinaryOp, ys []bitstr.Prefix) (*CrossSystem, 
 		return nil, err
 	}
 	target := &crossTarget{shadow: jointShadow(engine.Store(), cfg), ys: ys, op: op, rep: cfg.Representative}
-	ctl, err := cfg.controller(mon, target)
+	ctl, err := cfg.controller(mon, target, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -88,27 +88,50 @@ func TestUnarySyncAuditDetectsSilentCorruption(t *testing.T) {
 	}
 }
 
-func TestUnaryRestartRequiresJournal(t *testing.T) {
+// assertRowsCheck fails unless every calculation row of s passes its check
+// against its own key and the cover has no interior gap: a fresh target's
+// detect-only adoption of the read-back finds nothing to repair.
+func assertRowsCheck(t *testing.T, s *UnarySystem) {
+	t.Helper()
+	rep, err := newUnaryTarget(s.engine, s.op, s.cfg).AuditCalc(false)
+	if err != nil || !rep.Clean() {
+		t.Fatalf("calculation read-back fails its own check: %+v (err %v)", rep, err)
+	}
+}
+
+func TestUnaryRestartOnDefaultConfig(t *testing.T) {
 	s, err := NewUnary(DefaultConfig(16), arith.OpSquare)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Restart(); !errors.Is(err, ErrConfig) {
-		t.Errorf("Restart without journal: %v, want ErrConfig", err)
+	old := s.Controller()
+	rep, err := s.Restart()
+	if err != nil {
+		t.Fatalf("Restart: %v", err)
 	}
-	if s.Journal() != nil {
-		t.Error("journal allocated without EnableJournal")
+	if !rep.Audit.Clean() || rep.Audit.Audited != s.Engine().Store().Len() || rep.CalcWrites != 0 {
+		t.Errorf("restart of a fresh system: %+v, want every row read and none rewritten", rep)
+	}
+	if s.Controller() == old {
+		t.Error("Restart did not build a fresh controller")
+	}
+	if s.CalcBudget() != 128 {
+		t.Errorf("restored budget %d, want 128", s.CalcBudget())
+	}
+	s.ObserveAll([]uint64{1, 2, 3, 40000})
+	if rep, err := s.Sync(); err != nil || rep.Degraded {
+		t.Fatalf("post-restart sync: %+v, %v", rep, err)
 	}
 }
 
-// TestUnaryRestartPreservesState restarts a healthy system and checks the
-// recovered controller reproduces the exact data-plane state — and keeps
-// adapting afterwards.
-func TestUnaryRestartPreservesState(t *testing.T) {
+// restartedSystem builds the system TestUnaryRestartPreservesState and
+// TestUnaryRestartRepairsTamperedRow restart: six rounds into a Gaussian
+// feed, with its sampler.
+func restartedSystem(t *testing.T) (*UnarySystem, *dist.IntSampler) {
+	t.Helper()
 	cfg := DefaultConfig(16)
 	cfg.MonitorEntries = 8
 	cfg.CalcEntries = 48
-	cfg.EnableJournal = true
 	s, err := NewUnary(cfg, arith.OpSquare)
 	if err != nil {
 		t.Fatal(err)
@@ -122,6 +145,14 @@ func TestUnaryRestartPreservesState(t *testing.T) {
 			t.Fatalf("sync %d: %v", i, err)
 		}
 	}
+	return s, sampler
+}
+
+// TestUnaryRestartPreservesState restarts a healthy system and checks the
+// recovered controller reproduces the exact data-plane state — and keeps
+// adapting afterwards.
+func TestUnaryRestartPreservesState(t *testing.T) {
+	s, sampler := restartedSystem(t)
 	calcFP := s.Engine().Table().Fingerprint()
 	monFP := s.Controller().Monitor().Table().Fingerprint()
 	oldCtl := s.Controller()
@@ -130,13 +161,7 @@ func TestUnaryRestartPreservesState(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Restart: %v", err)
 	}
-	if rep.FullResync {
-		t.Error("journaled restart fell back to full resync")
-	}
-	if rep.ReplayedRound != 6 {
-		t.Errorf("replayed round %d, want 6", rep.ReplayedRound)
-	}
-	if !rep.Audit.Clean() {
+	if !rep.Audit.Clean() || rep.CalcWrites != 0 {
 		t.Errorf("recovery audit on a healthy table: %+v", rep.Audit)
 	}
 	if s.Controller() == oldCtl {
@@ -148,15 +173,33 @@ func TestUnaryRestartPreservesState(t *testing.T) {
 	if got := s.Controller().Monitor().Table().Fingerprint(); got != monFP {
 		t.Error("restart changed the monitoring layout")
 	}
-	// The recovered controller keeps journaling and syncing.
+	// The recovered controller keeps syncing.
 	for i := 0; i < 3; i++ {
 		s.ObserveAll(sampler.Draw(400))
 		if _, err := s.Sync(); err != nil {
 			t.Fatalf("post-restart sync %d: %v", i, err)
 		}
+		assertRowsCheck(t, s)
 	}
-	if rec, ok := s.Journal().LastCommit(); !ok || rec.Round != 9 {
-		t.Errorf("journal last commit = %+v %v, want round 9", rec, ok)
+}
+
+// TestUnaryRestartRepairsTamperedRow corrupts one row's payload behind the
+// controller's back: the restart's read-back check must count it as the one
+// corrupted row and rewrite it with one write.
+func TestUnaryRestartRepairsTamperedRow(t *testing.T) {
+	s, _ := restartedSystem(t)
+	healthy := s.Engine().Table().Fingerprint()
+	tamperFirstRow(t, s.Engine().Table())
+	rep, err := s.Restart()
+	if err != nil {
+		t.Fatalf("Restart: %v", err)
+	}
+	if rep.Audit.Corrupted != 1 || rep.Audit.Ghost != 0 || rep.Audit.Missing != 0 ||
+		rep.Audit.RepairWrites != 1 || rep.CalcWrites != 1 {
+		t.Errorf("restart report %+v, want 1 corrupted row repaired with 1 write", rep)
+	}
+	if s.Engine().Table().Fingerprint() != healthy {
+		t.Error("restart did not heal the tampered row")
 	}
 }
 
@@ -219,10 +262,11 @@ func TestBinaryJointAuditHealsTampering(t *testing.T) {
 	}
 }
 
-// TestCrashRecoveryDifferential is the PR's acceptance proof: a long chaos
-// run with silent row corruption, ghost rows, dropped acks, visible driver
-// faults, and injected controller crashes (journal restart mid-round) must
-// converge to calculation and monitoring fingerprints identical to a
+// TestCrashRecoveryDifferential is a long chaos run with silent row
+// corruption, ghost rows, dropped acks, visible driver faults, and injected
+// controller crashes (read-back restarts mid-round). After every restart
+// each calculation row passes its check, and after the quiesce the system
+// must converge to calculation and monitoring fingerprints identical to a
 // fault-free twin fed the same traffic and budget schedule.
 //
 // The feed is held constant across rounds so every register snapshot — live,
@@ -242,7 +286,6 @@ func TestCrashRecoveryDifferential(t *testing.T) {
 		cfg.CalcEntries = 64
 		cfg.CalcCapacity = 96 // headroom so ghost rows never exhaust the hardware
 		cfg.AuditEvery = 5
-		cfg.EnableJournal = true
 		if mutate != nil {
 			mutate(&cfg)
 		}
@@ -310,6 +353,7 @@ func TestCrashRecoveryDifferential(t *testing.T) {
 			if !recovered {
 				t.Fatalf("round %d: recovery never succeeded in 50 attempts", round)
 			}
+			assertRowsCheck(t, faulty)
 		case err != nil:
 			t.Fatalf("round %d: faulty Sync: %v", round, err)
 		case rep.Degraded:

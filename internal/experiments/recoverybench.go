@@ -83,20 +83,19 @@ type RecoveryBenchRow struct {
 	CleanErrPct   float64 `json:"clean_err_pct"`
 	CorruptErrPct float64 `json:"corrupt_err_pct"`
 	HealedErrPct  float64 `json:"healed_err_pct"`
-	// RestartCalcWrites is the write cost of journal crash recovery under
-	// the same corruption: Recover's populate reconciles against the
-	// physical table, so it too issues only the divergent rows.
+	// RestartCalcWrites is the write cost of crash recovery under the same
+	// corruption: the restart checks every row it reads back against its
+	// own key and rewrites only the rows that fail.
 	RestartCalcWrites int `json:"restart_calc_writes"`
 }
 
-// recoveryBenchSystem builds the audited, journaled system under test.
+// recoveryBenchSystem builds the audited system under test.
 func recoveryBenchSystem(cfg RecoveryBenchConfig) (*core.UnarySystem, error) {
 	c := core.DefaultConfig(cfg.Width)
 	c.MonitorEntries = cfg.MonitorEntries
 	c.MaxMonitorEntries = cfg.MonitorEntries
 	c.CalcEntries = cfg.CalcBudget
 	c.AuditEvery = cfg.AuditEvery
-	c.EnableJournal = true
 	return core.NewUnary(c, arith.OpSquare)
 }
 
@@ -194,8 +193,8 @@ func RunRecoveryBench(cfg RecoveryBenchConfig) ([]RecoveryBenchRow, error) {
 		}
 		row.HealedErrPct = 100 * arith.MeasureUnary(sys.Engine().Eval, sys.Op(), test).Avg
 
-		// Crash recovery under the same corruption: journal restart must
-		// reconcile with a delta, not a flash rewrite.
+		// Crash recovery under the same corruption: the read-back restart
+		// must rewrite the corrupted rows, not flash the table.
 		if _, err := corruptRows(tb, rng, n); err != nil {
 			return nil, err
 		}

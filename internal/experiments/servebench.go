@@ -57,8 +57,8 @@ type ServeBenchConfig struct {
 	// ChurnEvery detaches one tenant every ChurnEvery ticks and reattaches
 	// it half a churn period later (0 disables churn).
 	ChurnEvery int
-	// RestartAt crash-restarts tenant 0's journaled controller at that
-	// tick (0 disables).
+	// RestartAt crash-restarts tenant 0's controller at that tick, which
+	// recovers from the switch's read-back (0 disables).
 	RestartAt int
 	// FaultSpec wraps every tenant driver in a seeded fault injector
 	// (empty disables).
@@ -227,7 +227,6 @@ func runServeMode(cfg ServeBenchConfig, adaptive bool) (ServeBenchMode, error) {
 		tcfg.MonitorEntries = cfg.MonitorEntries
 		tcfg.CalcEntries = cfg.CalcEntries
 		tcfg.LookupCacheEntries = cfg.LookupCacheEntries
-		tcfg.EnableJournal = true // the mid-soak Restart needs a journal
 		if cfg.FaultSpec != "" {
 			p := prof
 			p.Seed = prof.Seed + int64(i)*101
@@ -327,8 +326,8 @@ func runServeMode(cfg ServeBenchConfig, adaptive bool) (ServeBenchMode, error) {
 		}
 		if cfg.RestartAt > 0 && t == cfg.RestartAt {
 			// The crash/restart is a maintenance-window recovery: the
-			// injector is held off while the journal replays, then rearmed
-			// for the rest of the soak.
+			// injector is held off while the controller reads the switch
+			// back, then rearmed for the rest of the soak.
 			if injectors[0] != nil {
 				injectors[0].SetArmed(false)
 			}

@@ -37,7 +37,7 @@ func (d *Driver) AuditCalc(repair bool) (controlplane.AuditReport, error) {
 // CrashHook returns a controlplane.Config.CrashHook that fires with the
 // profile's CrashProb at every crash point, drawn from the injector's
 // seeded RNG. Assign it to the controller config of a chaos run to model
-// controller restarts straddling the journal boundary.
+// controller restarts anywhere in a round.
 func (in *Injector) CrashHook() func(controlplane.CrashPoint) bool {
 	return func(controlplane.CrashPoint) bool {
 		return in.roll(in.prof.CrashProb, &in.stats.Crashes)

@@ -9,7 +9,8 @@ import (
 
 // TestFromBinsRoundTrip rebalances a trie through many random rounds, then
 // rebuilds it from its own leaves and checks the reconstruction is
-// structurally identical — the property journal recovery rests on.
+// structurally identical — the property a restart that rebuilds the trie
+// from the installed monitoring bins rests on.
 func TestFromBinsRoundTrip(t *testing.T) {
 	tr, err := NewInitial(12, 8)
 	if err != nil {
