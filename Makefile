@@ -35,11 +35,13 @@ bench-lookup:
 
 # Control-round speed gate: a converged incremental round against full
 # repopulation at a 1024-entry budget, timed in the same run; it fails when
-# full repopulation is less than 5x slower. Then the committed
-# BENCH_round.json: writes, recomputed entries and modelled delay per churn
-# level.
+# full repopulation is less than 5x slower. Then Algorithm 3 alone in the
+# dataplane (width 17, 4096 entries) and control (width 16, 1024 entries)
+# shapes, and the committed BENCH_round.json: writes, recomputed entries
+# and modelled delay per churn level.
 bench-round:
 	$(GO) test -bench 'Round' -benchmem -run '^$$' ./internal/core
+	$(GO) test -bench 'ADAAllocate' -benchmem -run '^$$' ./internal/population
 	$(GO) run ./cmd/adabench -out . round
 
 # Multi-tenant arbitration: elastic vs static split on one shared table,

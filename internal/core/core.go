@@ -619,6 +619,10 @@ type UnarySystem struct {
 	ctl    *controlplane.Controller
 	// commit is the controller's commit record; it outlives a restart.
 	commit *controlplane.CommitRecord
+	// restarted marks a Restart that no committed round has followed yet:
+	// the rebuilt trie holds no hits, so the tenant arbiter would read the
+	// system's pressure as zero (see Registry.members).
+	restarted bool
 }
 
 // NewUnary builds the system and installs the initial (uniform) population,
@@ -714,7 +718,11 @@ func (s *UnarySystem) Sync() (SyncReport, error) {
 // between driver operations (including retry backoff), and the report comes
 // back Degraded with reason "cancelled".
 func (s *UnarySystem) SyncCtx(ctx context.Context) (SyncReport, error) {
-	return runRound(ctx, s.ctl)
+	rep, err := runRound(ctx, s.ctl)
+	if err == nil && !rep.Degraded {
+		s.restarted = false
+	}
+	return rep, err
 }
 
 // Restart models a controller crash and restart: the data plane (monitor
@@ -730,7 +738,9 @@ func (s *UnarySystem) SyncCtx(ctx context.Context) (SyncReport, error) {
 //
 // Under Config.EWMADecay a restart forgets the decayed hit history: the
 // rebuilt trie starts from zero hits, where a never-restarted controller
-// would still carry half of its previous masses.
+// would still carry half of its previous masses. A registry tenant sits
+// out budget arbitration until its next committed round, so its empty trie
+// is not read as zero pressure.
 func (s *UnarySystem) Restart() (controlplane.RecoveryReport, error) {
 	ccfg := s.cfg.controllerConfig()
 	ccfg.Commit = s.commit
@@ -740,6 +750,7 @@ func (s *UnarySystem) Restart() (controlplane.RecoveryReport, error) {
 		return rep, err
 	}
 	s.ctl = ctl
+	s.restarted = true
 	return rep, nil
 }
 

@@ -165,11 +165,7 @@ func (r *Registry) SyncCtx(ctx context.Context) (RegistrySyncReport, error) {
 		}
 		out.Tenants[t.name] = reps[i]
 	}
-	members := make([]tenant.Member, len(r.tenants))
-	for i, t := range r.tenants {
-		members[i] = t
-	}
-	arbRep, err := r.arb.RoundDone(members)
+	arbRep, err := r.arb.RoundDone(r.members())
 	out.Arbiter = arbRep
 	if err != nil {
 		return out, err
@@ -181,8 +177,9 @@ func (r *Registry) SyncCtx(ctx context.Context) (RegistrySyncReport, error) {
 // externally-paced seam the service layer's drift pacer drives: a round is
 // spent where traffic moved instead of on every tenant every cadence. The
 // subset's rounds run concurrently exactly as in SyncCtx, and the arbiter
-// still sees every mounted member afterwards, so budget keeps flowing toward
-// pressure even when most tenants sat the round out. Unknown names are
+// still sees every mounted member afterwards but a restarted one (see
+// members), so budget keeps flowing toward pressure even when most tenants
+// sat the round out. Unknown names are
 // errors; an empty subset just runs the arbiter settle step. Fabric
 // implements the same method switch-by-switch, so the serve layer paces
 // either through one seam.
@@ -213,14 +210,25 @@ func (r *Registry) SyncTenants(ctx context.Context, names []string) (map[string]
 		}
 		out[t.name] = reps[i]
 	}
-	members := make([]tenant.Member, len(r.tenants))
-	for i, t := range r.tenants {
-		members[i] = t
-	}
-	if _, err := r.arb.RoundDone(members); err != nil {
+	if _, err := r.arb.RoundDone(r.members()); err != nil {
 		return out, err
 	}
 	return out, nil
+}
+
+// members lists the tenants the arbiter weighs, in mount order. A tenant
+// restarted since its last committed round sits out and keeps its budget:
+// its rebuilt trie holds no hits yet, so its pressure would read zero and a
+// round of the other tenants would hand its budget to them. It rejoins once
+// a round of its own has committed.
+func (r *Registry) members() []tenant.Member {
+	members := make([]tenant.Member, 0, len(r.tenants))
+	for _, t := range r.tenants {
+		if t.unary == nil || !t.unary.restarted {
+			members = append(members, t)
+		}
+	}
+	return members
 }
 
 // FindTenant returns a mounted tenant by name — the lookup shape the serve

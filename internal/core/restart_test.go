@@ -1,8 +1,10 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"testing"
 
@@ -249,5 +251,63 @@ func TestRestartUnderEWMAStaysConsistent(t *testing.T) {
 			t.Fatalf("round %d: shadow audit %+v, %v", round, aud, err)
 		}
 		assertRowsCheck(t, s)
+	}
+}
+
+// TestRestartedTenantKeepsBudget restarts tenant 0 of a registry at a
+// round boundary and then runs a round of tenant 1 alone on which the
+// arbiter rebalances. Until its own next round the restarted tenant's
+// rebuilt trie holds no hits, so its pressure would read zero and the
+// arbiter would hand its budget to tenant 1. It must sit that rebalance out
+// and keep its budget, as its never-restarted twin does, and arbitrate again
+// once it has run a round: the twins' budgets and tables then stay equal.
+func TestRestartedTenantKeepsBudget(t *testing.T) {
+	plain, restarted := newRestartRig(t, tenantSlice, nil), newRestartRig(t, tenantSlice, nil)
+	rng := rand.New(rand.NewSource(5))
+	peak := func(centre, sigma float64) []uint64 {
+		xs := make([]uint64, 300)
+		for i := range xs {
+			xs[i] = uint64(min(max(centre+sigma*rng.NormFloat64(), 0), 1<<16-1))
+		}
+		return xs
+	}
+	check := func(when string) {
+		t.Helper()
+		if got, want := restarted.reg.Budgets(), plain.reg.Budgets(); !maps.Equal(got, want) {
+			t.Fatalf("%s: budgets %v after the restart, %v without", when, got, want)
+		}
+		if calc, wantCalc := restarted.reg.Table().Fingerprint(), plain.reg.Table().Fingerprint(); calc != wantCalc {
+			t.Fatalf("%s: calculation fingerprints diverge", when)
+		}
+	}
+	// Full rounds on steady peaks; the arbiter rebalances every third
+	// round, so the subset round below, its 33rd, rebalances too.
+	for round := 0; round < 32; round++ {
+		xs, ys := peak(20000, 300), peak(40000, 3000)
+		for _, r := range []restartRig{plain, restarted} {
+			if _, err := r.round(xs, ys); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if _, err := restarted.sys.Restart(); err != nil {
+		t.Fatalf("restart: %v", err)
+	}
+	ys := peak(40000, 3000)
+	for _, r := range []restartRig{plain, restarted} {
+		r.other.ObserveAll(ys)
+		if _, err := r.reg.SyncTenants(context.Background(), []string{"t1"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("the round tenant 0 sat out")
+	for round := 33; round < 50; round++ {
+		xs, ys := peak(20000, 300), peak(40000, 3000)
+		for _, r := range []restartRig{plain, restarted} {
+			if _, err := r.round(xs, ys); err != nil {
+				t.Fatal(err)
+			}
+		}
+		check(fmt.Sprintf("round %d", round))
 	}
 }

@@ -19,7 +19,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 
 	"github.com/ada-repro/ada/internal/bitstr"
@@ -282,8 +281,8 @@ func ADAUnary(t *trie.Trie, f UnaryFunc, budget int, rep Representative) ([]Unar
 const adaTailEpsilon = 0.005
 
 // ADAAllocate performs Algorithm 3's hit-proportional budget distribution
-// and returns the match prefixes only (no results), in value order. The
-// output is an LPM cover, not a flat partition:
+// and returns the match prefixes only (no results), strictly increasing under
+// bitstr.Prefix.Compare. The output is an LPM cover, not a flat partition:
 //
 //  1. The trie's hit mass determines the working range (the smallest
 //     interval holding all but a sliver of the observed distribution).
@@ -291,13 +290,18 @@ const adaTailEpsilon = 0.005
 //     sub-region holding the most mass is split first, so hot intervals end
 //     up with exponentially finer entries (the paper's proportional
 //     allocation without its integer-rounding pathology on deep skew).
-//  3. One all-wildcard catch-all entry backstops out-of-range operands;
-//     longest-prefix match ensures the fine entries win inside the range.
+//  3. The trie's cold leaves outside the range backstop out-of-range
+//     operands, or one all-wildcard catch-all entry when the budget cannot
+//     afford them; longest-prefix match ensures the fine entries win inside
+//     the range.
 //
-// Cold regions therefore collapse into the catch-all — the abstract's
+// Cold regions therefore collapse into the backstop — the abstract's
 // "aggregating entries that are unused or less popular". With no hit data at
 // all the result degenerates to the uniform equal-share population
-// (Algorithm 3's w = 0.5 initialisation).
+// (Algorithm 3's w = 0.5 initialisation). The refinement queues groups of
+// sibling regions, not regions (see refine), so a call costs
+// O(G log G + budget) for G groups, at most about 2L + L·log(budget/L) over
+// L leaves.
 func ADAAllocate(t *trie.Trie, budget int) ([]bitstr.Prefix, error) {
 	if budget < 1 {
 		return nil, fmt.Errorf("%w: got %d", ErrBudget, budget)
@@ -305,8 +309,10 @@ func ADAAllocate(t *trie.Trie, budget int) ([]bitstr.Prefix, error) {
 	return adaAllocate(t, budget)
 }
 
-// adaAllocate is the Algorithm 3 core. Every region's mass comes from one
-// massOracle over the trie's leaves, O(log L) per region.
+// adaAllocate is the Algorithm 3 core. It emits its output already in
+// order: the backstop leaves below the range, the refined range (refine,
+// emit), then the backstop leaves above it — or the root catch-all in their
+// place.
 func adaAllocate(t *trie.Trie, budget int) ([]bitstr.Prefix, error) {
 	width := t.Width()
 	root, err := bitstr.Root(width)
@@ -354,126 +360,214 @@ func adaAllocate(t *trie.Trie, budget int) ([]bitstr.Prefix, error) {
 	// stray operands); fall back to a single all-wildcard catch-all when the
 	// budget cannot afford that, and to the uniform population when it
 	// cannot even afford the range cover.
-	var backstop []bitstr.Prefix
-	for _, l := range leaves[:loIdx] {
-		backstop = append(backstop, l.Prefix)
-	}
-	for _, l := range leaves[hiIdx+1:] {
-		backstop = append(backstop, l.Prefix)
-	}
-	if len(backstop)+len(cover) > budget {
-		backstop = []bitstr.Prefix{root}
+	backstop := loIdx + len(leaves) - 1 - hiIdx
+	catchAll := backstop+len(cover) > budget
+	if catchAll {
+		backstop = 1
 		if len(cover)+1 > budget {
 			return Subdivide(root, budget), nil
 		}
 	}
-	refineBudget := budget - len(backstop)
 
-	// 2. Greedy mass-proportional refinement within the range. Splittable
-	// regions live in a max-heap ordered by (mass, wild bits, low bound) —
-	// a strict total order, so the heap pops regions in exactly the
-	// sequence the original linear max-scan selected them, at
-	// O(budget·log budget) instead of O(budget²). Fully specified regions
-	// can never be split again and are parked in done.
-	var done []bitstr.Prefix
-	h := regionHeap(make([]region, 0, refineBudget+1))
-	oracle := newMassOracle(leaves)
-	push := func(p bitstr.Prefix) {
-		if p.WildBits() == 0 {
-			done = append(done, p)
-			return
+	// 2. Greedy mass-proportional refinement within the range.
+	spans, splits := refine(newMassOracle(leaves), cover, loIdx, hiIdx, budget-backstop-len(cover))
+
+	// 3. Emit in value order. Compare puts the catch-all after the one
+	// region starting at 0, if the range has one, and before every other
+	// region, so it takes the first slot and trades places below. No
+	// region is the root itself: a range over the whole domain leaves no
+	// backstop leaves, so it never needs the catch-all.
+	out := make([]bitstr.Prefix, 0, backstop+len(cover)+splits)
+	if catchAll {
+		out = append(out, root)
+	} else {
+		for _, l := range leaves[:loIdx] {
+			out = append(out, l.Prefix)
 		}
-		h.push(region{p: p, mass: oracle.mass(p)})
 	}
+	out = emit(out, spans, loIdx, hiIdx)
+	if !catchAll {
+		for _, l := range leaves[hiIdx+1:] {
+			out = append(out, l.Prefix)
+		}
+	} else if out[1].Lo() == 0 {
+		out[0], out[1] = out[1], root
+	}
+	return out, nil
+}
+
+// span is one trie node of the refined partition: the prefix p over the
+// whole leaves from the one it starts at up to next. refine splits a node
+// over several leaves into its two halves, which are trie nodes again, and
+// splits a single leaf in place, level by level: levels levels below p
+// completely, then the first partial regions of the next.
+type span struct {
+	p       bitstr.Prefix
+	next    int
+	levels  int
+	partial int
+}
+
+// group is one item of refine's heap: the 2^level regions level bits below
+// spans[at].p, which is the trie node itself at level 0. Level > 0 occurs
+// only inside one leaf, where every region of a level has the same mass
+// (the leaf's hits·2^−level, as massOracle has it), the same wild bits and
+// consecutive low bounds.
+type group struct {
+	mass  float64
+	lo    uint64
+	wild  int
+	level int
+	at    int
+}
+
+// refine runs Algorithm 3's greedy refinement of cover, the exact cover of
+// leaves [first, last], with at most splits splits. It always splits the
+// region of most mass, then of most wild bits, then of lowest low bound,
+// until the splits run out or every region is fully specified. It returns
+// the refined partition as spans indexed by their first leaf, and the
+// number of splits made.
+//
+// The heap holds groups of sibling regions, not regions. A group is keyed
+// by its first member, and its members pop in a row: a region never pops
+// before its parent, because its mass is no larger (inside a leaf it is
+// exactly half) and it has one wild bit fewer, and any other region of the
+// same mass and wild bits lies outside the group's leaf. So popping a group
+// splits its members in the order a heap of single regions would, and when
+// the splits left cannot cover a group, its first members take them.
+func refine(o massOracle, cover []bitstr.Prefix, first, last, splits int) ([]span, int) {
+	spans := make([]span, last+1)
+	// At most one group per span, and no more spans than the splits allow.
+	h := groupHeap(make([]group, 0, min(last+1-first, len(cover)+splits)))
+	push := func(at int) {
+		if s := spans[at]; s.p.WildBits() > 0 {
+			h.push(group{mass: o.sum(at, s.next), lo: s.p.Lo(), wild: s.p.WildBits(), at: at})
+		}
+	}
+	at := first
 	for _, p := range cover {
-		push(p)
-	}
-	for len(done)+len(h) < refineBudget && len(h) > 0 {
-		best := h.pop()
-		lp, err := best.p.Left()
-		if err != nil {
-			return nil, err
+		next := at + 1
+		for next <= last && o.lo[next] <= p.Hi() {
+			next++
 		}
-		rp, err := best.p.Right()
-		if err != nil {
-			return nil, err
+		spans[at] = span{p: p, next: next}
+		push(at)
+		at = next
+	}
+	made := 0
+	for len(h) > 0 && made < splits {
+		g := h.pop()
+		s := &spans[g.at]
+		n := 1 << g.level
+		if n > splits-made {
+			// Only the first members fit: split them and stop.
+			s.partial = splits - made
+			return spans, splits
 		}
-		push(lp)
-		push(rp)
+		made += n
+		if s.next-g.at > 1 {
+			// A trie node over several leaves: its halves hold whole
+			// leaves too. s.p has wild bits, so neither half can fail.
+			l, _ := s.p.Left()
+			r, _ := s.p.Right()
+			mid := g.at + sort.Search(s.next-g.at, func(k int) bool { return o.lo[g.at+k] >= r.Lo() })
+			spans[mid] = span{p: r, next: s.next}
+			*s = span{p: l, next: mid}
+			push(g.at)
+			push(mid)
+			continue
+		}
+		s.levels = g.level + 1
+		if g.wild > 1 {
+			// The next level can split too. Halving a mass is exact: a
+			// leaf's mass is 0 or at least 1, and 2^−64 is still normal.
+			h.push(group{mass: g.mass / 2, lo: g.lo, wild: g.wild - 1, level: g.level + 1, at: g.at})
+		}
 	}
-
-	// 3. Combine the backstop and the refined range, sorted and without
-	// duplicates (a root backstop can repeat a root cover).
-	out := make([]bitstr.Prefix, 0, len(backstop)+len(done)+len(h))
-	out = append(out, backstop...)
-	out = append(out, done...)
-	for _, r := range h {
-		out = append(out, r.p)
-	}
-	slices.SortFunc(out, bitstr.Prefix.Compare)
-	return slices.Compact(out), nil
+	return spans, made
 }
 
-// region is one candidate prefix in Algorithm 3's refinement loop.
-type region struct {
-	p    bitstr.Prefix
-	mass float64
+// emit appends refine's partition in value order, from the span at leaf
+// first through the one ending at last. A split leaf with F full levels and
+// r regions split at level F tiles as level F+1's regions [0, 2r), then
+// level F's regions [r, 2^F).
+func emit(out []bitstr.Prefix, spans []span, first, last int) []bitstr.Prefix {
+	for at := first; at <= last; at = spans[at].next {
+		s := spans[at]
+		if s.levels == 0 {
+			out = append(out, s.p)
+			continue
+		}
+		out = appendLevel(out, s.p, s.levels+1, 0, 2*s.partial)
+		out = appendLevel(out, s.p, s.levels, s.partial, 1<<s.levels)
+	}
+	return out
 }
 
-// regionHeap is a binary max-heap over (mass, wild bits, low bound) — the
-// exact selection order of Algorithm 3's refinement: hottest first, coarser
+// appendLevel appends regions [from, to) of the tiling of p level bits
+// finer.
+func appendLevel(out []bitstr.Prefix, p bitstr.Prefix, level, from, to int) []bitstr.Prefix {
+	shift := p.WildBits() - level
+	for k := from; k < to; k++ {
+		// A non-empty range has level ≤ p.WildBits(), so New cannot fail.
+		q, _ := bitstr.New(p.Lo()|uint64(k)<<shift, p.Bits()+level, p.Width())
+		out = append(out, q)
+	}
+	return out
+}
+
+// groupHeap is a binary max-heap over group.before. It is typed, so a push
+// does not box its group.
+type groupHeap []group
+
+// before reports whether a's members pop before b's: hottest first, coarser
 // first on mass ties, lower range first as the final tiebreak. The order is
-// total (low bounds are unique within a partition), so heap extraction is
-// deterministic and matches a linear max-scan step for step. It is typed,
-// so a push does not box its region.
-type regionHeap []region
-
-// before reports whether a pops before b.
-func (a region) before(b region) bool {
+// total, since low bounds are unique within a partition.
+func (a group) before(b group) bool {
 	switch {
 	case a.mass != b.mass:
 		return a.mass > b.mass
-	case a.p.WildBits() != b.p.WildBits():
-		return a.p.WildBits() > b.p.WildBits()
+	case a.wild != b.wild:
+		return a.wild > b.wild
 	default:
-		return a.p.Lo() < b.p.Lo()
+		return a.lo < b.lo
 	}
 }
 
-func (h *regionHeap) push(r region) {
-	*h = append(*h, r)
-	rs := *h
-	for i := len(rs) - 1; i > 0; {
+func (h *groupHeap) push(g group) {
+	*h = append(*h, g)
+	gs := *h
+	for i := len(gs) - 1; i > 0; {
 		parent := (i - 1) / 2
-		if !rs[i].before(rs[parent]) {
+		if !gs[i].before(gs[parent]) {
 			break
 		}
-		rs[i], rs[parent] = rs[parent], rs[i]
+		gs[i], gs[parent] = gs[parent], gs[i]
 		i = parent
 	}
 }
 
-func (h *regionHeap) pop() region {
-	rs := *h
-	top := rs[0]
-	last := len(rs) - 1
-	rs[0] = rs[last]
-	rs = rs[:last]
+func (h *groupHeap) pop() group {
+	gs := *h
+	top := gs[0]
+	last := len(gs) - 1
+	gs[0] = gs[last]
+	gs = gs[:last]
 	for i := 0; ; {
 		c := 2*i + 1
-		if c >= len(rs) {
+		if c >= len(gs) {
 			break
 		}
-		if c+1 < len(rs) && rs[c+1].before(rs[c]) {
+		if c+1 < len(gs) && gs[c+1].before(gs[c]) {
 			c++
 		}
-		if !rs[c].before(rs[i]) {
+		if !gs[c].before(gs[i]) {
 			break
 		}
-		rs[i], rs[c] = rs[c], rs[i]
+		gs[i], gs[c] = gs[c], gs[i]
 		i = c
 	}
-	*h = rs
+	*h = gs
 	return top
 }
 
@@ -489,7 +583,8 @@ func (h *regionHeap) pop() region {
 // stays below 2^53 every partial float sum is an exact integer, so one
 // integer prefix-sum difference converted once is the same float. At or
 // above 2^53 — reachable with 64-bit registers — the oracle keeps that
-// sequential float sum over the run it located.
+// sequential float sum over the run it located. Either sum never falls
+// when a leaf joins the run, since rounding is monotone.
 type massOracle struct {
 	leaves []trie.Bin
 	lo     []uint64 // leaves[i].Prefix.Lo(), ascending
@@ -525,6 +620,11 @@ func (o massOracle) mass(p bitstr.Prefix) float64 {
 	}
 	// p holds leaves i..j-1: those starting inside it.
 	j := sort.Search(len(o.lo), func(k int) bool { return o.lo[k] > p.Hi() })
+	return o.sum(i, j)
+}
+
+// sum returns the mass of the whole leaves [i, j).
+func (o massOracle) sum(i, j int) float64 {
 	if o.cum != nil {
 		return float64(o.cum[j] - o.cum[i])
 	}
